@@ -304,9 +304,7 @@ def _add_sweep_options(parser) -> None:
     parser.add_argument("--r-max", type=int, default=501, help="last odd level")
     parser.add_argument("--r-step", type=int, default=50,
                         help="level step (even, to keep levels odd)")
-    parser.add_argument("--precision", choices=("auto", "double", "extended"),
-                        default="auto")
-    parser.add_argument("--format", choices=("json", "csv", "text"), default="csv")
+    parser.add_argument("--format", choices=("json", "csv"), default="csv")
     parser.add_argument("--output", default=None, help="write the report here")
 
 
@@ -317,7 +315,7 @@ def build_parser() -> argparse.ArgumentParser:
         "and Turaev-Viro growth rates",
     )
     parser.add_argument("--threads", type=int, default=None,
-                        help="cap sweep parallelism (overrides QHYP_THREADS)")
+                        help="worker processes per sweep (overrides QHYP_THREADS)")
     sub = parser.add_subparsers(dest="command", required=True)
 
     p = sub.add_parser("cfe", help="evaluate a continued fraction expansion")
@@ -353,6 +351,9 @@ def build_parser() -> argparse.ArgumentParser:
     _add_knot_options(p)
     p.add_argument("--slope", type=_parse_slope, default=None,
                    help="fill along this slope; omit for the complement")
+    p.add_argument("--precision", choices=("auto", "double", "extended"),
+                   default="auto",
+                   help="surgery arithmetic; applies only to --slope fillings")
     _add_sweep_options(p)
     p.set_defaults(func=cmd_tv)
 

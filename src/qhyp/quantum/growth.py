@@ -80,11 +80,15 @@ def default_levels(r_min: int = 51, r_max: int = 501, r_step: int = 50) -> list[
 
 
 def _worker_count() -> int:
+    """Worker processes per sweep, from QHYP_THREADS (default 1)."""
     env = os.environ.get("QHYP_THREADS", "1")
     try:
-        return max(1, int(env))
+        count = int(env)
     except ValueError:
-        return 1
+        count = 0
+    if count < 1:
+        raise ValueError(f"QHYP_THREADS must be a positive integer, got {env!r}")
+    return count
 
 
 def _complement_one(args) -> TVSample:
@@ -110,8 +114,8 @@ def _run_sweep(worker, jobs) -> list[TVSample]:
 def complement_sweep(knot: DoubleTwistKnot, levels: Sequence[int]) -> list[TVSample]:
     """TV samples of the knot complement over the given odd levels.
 
-    Levels may be computed concurrently (QHYP_THREADS); results are keyed
-    and ordered by level, so reports are deterministic either way.
+    Levels may be computed in worker processes (QHYP_THREADS); results are
+    keyed and ordered by level, so reports are deterministic either way.
     """
     jobs = [((knot.m, knot.n), r) for r in sorted(set(levels))]
     return _run_sweep(_complement_one, jobs)

@@ -14,9 +14,10 @@ under mpmath with digits to spare.  Values move around as (log-magnitude,
 phase) pairs so large levels neither overflow nor lose growth information.
 
 The figure-eight knot has a classical expansion whose terms are products of
-bounded sine factors, stable at every color and level; it doubles as an
-independent cross-check of the fusion engine and as the fast path for the
-figure-eight level sweeps.
+bounded sine factors, one loop in either arithmetic (_figure_eight_sum); it
+doubles as an independent cross-check of the fusion engine and as the fast
+path for the figure-eight level sweeps.  Both evaluators escalate through
+one helper (_escalate).
 """
 
 from __future__ import annotations
@@ -38,15 +39,6 @@ from .roots import RootOfUnityContext
 CONDITION_LIMIT = 1.0e4
 
 _FIG8_PAIR = (-2, 2)  # canonical parameter pair of the figure-eight knot
-
-
-@dataclass(frozen=True)
-class ColoredJonesValue:
-    """A colored Jones evaluation: knot, color dimension, complex value."""
-
-    knot: DoubleTwistKnot
-    dimension: int
-    value: complex
 
 
 @dataclass(frozen=True)
@@ -133,47 +125,62 @@ def _fusion_log(
         condition = fast.condition
     else:
         condition = math.inf
-    digits = 30 if condition == math.inf else int(math.log10(condition)) + 25
-    dps = max(35, digits)
-    value = fusion_value_mp(knot, color, r, dps)
+    return _escalate(condition, lambda dps: fusion_value_mp(knot, color, r, dps), "mp")
+
+
+def _escalate(condition: float, evaluate, label: str) -> LogComplex:
+    """Recompute a cancelling value under mpmath with digits to spare.
+
+    The dps is max(35, int(log10(condition)) + 25); evaluate(dps) returns
+    the mpmath value, and the result is labeled f"{label}{dps}".
+    """
+    dps = 35 if condition == math.inf else max(35, int(math.log10(condition)) + 25)
+    value = evaluate(dps)
     with mp.workdps(dps):
         if value == 0:
-            return LogComplex(-math.inf, 1.0 + 0j, condition, f"mp{dps}")
+            return LogComplex(-math.inf, 1.0 + 0j, condition, f"{label}{dps}")
         log_abs = float(mp.log(abs(value)))
         phase = complex(value / abs(value))
-    return LogComplex(log_abs, phase, condition, f"mp{dps}")
+    return LogComplex(log_abs, phase, condition, f"{label}{dps}")
+
+
+def _figure_eight_sum(N: int, braces, one):
+    """The figure-eight expansion and its largest partial product.
+
+    Sums prod_{j<=k} {N-j}{N+j} over k = 0 .. N-1, where braces[x] holds
+    {x} = t^(x/2) - t^(-x/2) for x < 2N; one is 1 in the caller's arithmetic.
+    """
+    total = one
+    product = one
+    peak = 1.0
+    for j in range(1, N):
+        product *= braces[N - j] * braces[N + j]
+        peak = max(peak, abs(product))
+        total += product
+    return total, peak
+
+
+def _braces(N: int, ctx: RootOfUnityContext) -> list[complex]:
+    """{x} = t^(x/2) - t^(-x/2) in doubles, for x < 2N."""
+    return [ctx.t_half_power(x) - ctx.t_half_power(-x) for x in range(2 * N)]
 
 
 def figure_eight_log(N: int, r: int) -> LogComplex:
     """Figure-eight evaluation at any color dimension N <= r - 1.
 
-    The expansion's terms are bounded sine products, but at isolated (N, r)
-    spots the value dips far below the largest partial product; those spots
-    are detected through the same cancellation ratio used by the fusion
-    engine and recomputed under mpmath.
+    The expansion's terms are bounded sine products, but the value can dip
+    far below the largest partial product.  This is common:
+    1707 of the (N, r) pairs with N <= (r - 1)/2 and odd r <= 201 escalate,
+    the first at N = 13, r = 57.  Such spots are detected through the same
+    cancellation ratio used by the fusion engine and recomputed under mpmath.
     """
-    ctx = RootOfUnityContext(r)
-    total = 1.0 + 0.0j
-    product = 1.0 + 0.0j
-    peak = 1.0
-    for j in range(1, N):
-        lo = ctx.t_half_power(N - j) - ctx.t_half_power(-(N - j))
-        hi = ctx.t_half_power(N + j) - ctx.t_half_power(-(N + j))
-        product *= lo * hi
-        peak = max(peak, abs(product))
-        total += product
+    total, peak = _figure_eight_sum(N, _braces(N, RootOfUnityContext(r)), 1.0 + 0.0j)
     condition = peak / abs(total) if total != 0 else math.inf
     if condition <= CONDITION_LIMIT:
         return LogComplex.from_complex(total, condition, "fig8-sum")
-    digits = 30 if condition == math.inf else int(math.log10(condition)) + 25
-    dps = max(35, digits)
-    value = figure_eight_cross_sum_mp(N, r, dps)
-    with mp.workdps(dps):
-        if value == 0:
-            return LogComplex(-math.inf, 1.0 + 0j, condition, f"fig8-mp{dps}")
-        log_abs = float(mp.log(abs(value)))
-        phase = complex(value / abs(value))
-    return LogComplex(log_abs, phase, condition, f"fig8-mp{dps}")
+    return _escalate(
+        condition, lambda dps: figure_eight_cross_sum_mp(N, r, dps), "fig8-mp"
+    )
 
 
 def colored_jones(
@@ -206,7 +213,7 @@ def jones_log_all_colors(
 ) -> list[LogComplex]:
     """Values for a sequence of strand colors at level r.
 
-    The figure-eight knot is routed through its stable expansion; other
+    The figure-eight knot is routed through its expansion; other
     knots run the fusion engine with per-color precision escalation.
     """
     if knot.canonical_pair() == _FIG8_PAIR:
@@ -219,19 +226,12 @@ def figure_eight_cross_sum(N: int, ctx: RootOfUnityContext) -> complex:
 
     The telescoping sum over k of products of (t^((N-j)/2) - t^(-(N-j)/2))
     (t^((N+j)/2) - t^(-(N+j)/2)) for j = 1..k, with half powers of t taken
-    through q.  Each factor is a bounded sine, so the sum is numerically
-    stable at every color and level.
+    through q.  Each factor is a bounded sine; the sum still cancels at
+    some (N, r), which figure_eight_log detects and escalates.
     """
     if N < 1:
         raise ValueError("N must be positive")
-    total = 1.0 + 0.0j
-    product = 1.0 + 0.0j
-    for j in range(1, N):
-        lo = ctx.t_half_power(N - j) - ctx.t_half_power(-(N - j))
-        hi = ctx.t_half_power(N + j) - ctx.t_half_power(-(N + j))
-        product *= lo * hi
-        total += product
-    return total
+    return _figure_eight_sum(N, _braces(N, ctx), 1.0 + 0.0j)[0]
 
 
 def figure_eight_cross_sum_mp(N: int, r: int, dps: int):
@@ -240,14 +240,8 @@ def figure_eight_cross_sum_mp(N: int, r: int, dps: int):
         def t_half(k):
             return mp.e ** (2j * mp.pi * mp.mpf(k) / r)
 
-        total = mp.mpc(1)
-        product = mp.mpc(1)
-        for j in range(1, N):
-            lo = t_half(N - j) - t_half(-(N - j))
-            hi = t_half(N + j) - t_half(-(N + j))
-            product *= lo * hi
-            total += product
-        return total
+        braces = [t_half(x) - t_half(-x) for x in range(2 * N)]
+        return _figure_eight_sum(N, braces, mp.mpc(1))[0]
 
 
 def jones_value_mp(knot: DoubleTwistKnot, color: int, r: int, dps: int):
@@ -353,7 +347,6 @@ def fusion_value_mp(knot: DoubleTwistKnot, color: int, r: int, dps: int):
 
 
 __all__ = [
-    "ColoredJonesValue",
     "LogComplex",
     "CONDITION_LIMIT",
     "colored_jones",

@@ -18,21 +18,9 @@ the closed network has four a-edges and the two channel edges c and d.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
 from functools import lru_cache
 
 import numpy as np
-
-
-@dataclass(frozen=True)
-class LogSigned:
-    """A real number as (log|x|, sign), sign in {-1, 0, +1}."""
-
-    log: float
-    sign: int
-
-    def value(self) -> float:
-        return 0.0 if self.sign == 0 else self.sign * np.exp(self.log)
 
 
 class RecouplingLevel:
@@ -58,9 +46,6 @@ class RecouplingLevel:
         )
 
     # -- elementary quantities ---------------------------------------------
-
-    def qint(self, k: int) -> float:
-        return float(self.sign_int[k] * np.exp(self.log_int[k]))
 
     def loop_value(self, c) -> tuple[np.ndarray, np.ndarray]:
         """(log, sign) of the c-colored loop (-1)^c [c+1], vectorized."""
@@ -176,4 +161,4 @@ def recoupling_level(r: int) -> RecouplingLevel:
     return RecouplingLevel(r)
 
 
-__all__ = ["RecouplingLevel", "recoupling_level", "LogSigned"]
+__all__ = ["RecouplingLevel", "recoupling_level"]

@@ -40,11 +40,6 @@ class RootOfUnityContext:
         """The even colors 0, 2, ..., r-3; there are (r-1)/2 of them."""
         return tuple(range(0, self.r - 2, 2))
 
-    @property
-    def max_color_dimension(self) -> int:
-        """Largest N with a color of dimension N in the theory: (r-1)/2."""
-        return (self.r - 1) // 2
-
     def t_half_power(self, k: int) -> complex:
         """t^(k/2) = q^k, half-integer powers taken through q."""
         return cmath.exp(2j * cmath.pi * k / self.r)

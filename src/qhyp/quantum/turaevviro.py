@@ -124,7 +124,8 @@ def tv_surgery(
 
     precision "double" forces the fast path, "extended" forces mpmath, and
     "auto" (default) runs doubles first and escalates when the cancellation
-    ratio crosses CONDITION_LIMIT.
+    ratio crosses CONDITION_LIMIT.  The double pass runs in every mode: its
+    Jones magnitudes size the mpmath digits.
     """
     if r < 5 or r % 2 == 0:
         raise ValueError("the level r must be odd and at least 5")
@@ -133,17 +134,36 @@ def tv_surgery(
     if precision not in ("auto", "double", "extended"):
         raise ValueError(f"unknown precision mode {precision!r}")
     chain = minus_cfe(slope)
-    if precision == "extended":
-        return _tv_surgery_mp(knot, slope, chain, r)
-    sample = _tv_surgery_double(knot, slope, chain, r)
-    if precision == "auto" and sample.flagged:
-        return _tv_surgery_mp(knot, slope, chain, r, sample.condition)
-    return sample
+    sample, scale = _surgery_double(knot, slope, chain, r)
+    if precision == "double" or (precision == "auto" and not sample.flagged):
+        return sample
+    condition = math.inf if precision == "extended" else sample.condition
+    return _tv_surgery_mp(knot, slope, chain, r, scale, condition)
+
+
+def _contract(smat, twists, w, vec, chain):
+    """Pair the knot vector with the chain, in the arrays' own arithmetic.
+
+    w starts as S e_0; each inner chain component a maps w to S (T^a w), and
+    the outermost one pairs T^a w with vec.
+    """
+    for a in reversed(chain[1:]):
+        w = smat @ (twists**a * w)
+    return np.sum(vec * twists ** chain[0] * w)
 
 
 def _tv_surgery_double(
     knot: DoubleTwistKnot, slope: Slope, chain: list[int], r: int
 ) -> TVSample:
+    """The double-precision sample for a given chain of the slope."""
+    return _surgery_double(knot, slope, chain, r)[0]
+
+
+def _surgery_double(
+    knot: DoubleTwistKnot, slope: Slope, chain: list[int], r: int
+) -> tuple[TVSample, float]:
+    """The double-precision sample, and the log of the largest unreduced
+    Jones magnitude, which sets the digits of the mpmath pass."""
     level = recoupling_level(r)
     colors = np.arange(0, r - 2, 2)
     jlogs = jones_log_all_colors(knot, r, colors)
@@ -157,20 +177,15 @@ def _tv_surgery_double(
             for v, s, lu in zip(jlogs, sign_loop, log_unred)
         ]
     )
-    vec_abs = np.abs(vec)
     twists = np.array([level.framing_twist(int(c)) for c in colors])
     smat = _modular_s(r)
-    smat_abs = np.abs(smat)
     w = sign_loop * np.exp(log_loop)  # S e_0
-    w_abs = np.abs(w)
-    for a in reversed(chain[1:]):
-        w = smat @ (twists**a * w)
-        w_abs = smat_abs @ w_abs
-    z = complex(np.sum(vec * twists ** chain[0] * w))
-    z_abs = float(np.sum(vec_abs * w_abs))
+    z = complex(_contract(smat, twists, w, vec, chain))
+    ones = np.ones(len(colors))
+    z_abs = float(_contract(np.abs(smat), ones, np.abs(w), np.abs(vec), chain))
     condition = z_abs / abs(z) if z != 0 else math.inf
     log_z = scale + (math.log(abs(z)) if z != 0 else -math.inf)
-    return _assemble_sample(slope, chain, r, log_z, condition, "double")
+    return _assemble_sample(slope, chain, r, log_z, condition, "double"), scale
 
 
 def _assemble_sample(
@@ -197,54 +212,41 @@ def _tv_surgery_mp(
     slope: Slope,
     chain: list[int],
     r: int,
-    condition: float = math.inf,
+    scale: float,
+    condition: float,
 ) -> TVSample:
-    """Extended-precision surgery sum; digits scale with the cancellation."""
-    level = recoupling_level(r)
-    colors = list(range(0, r - 2, 2))
-    # largest term magnitude, from the double-precision tables
-    log_loop, _ = level.loop_value(np.array(colors))
-    jlogs = jones_log_all_colors(knot, r, colors)
-    finite = [
-        (v.log_abs + ll) / math.log(10.0)
-        for v, ll in zip(jlogs, log_loop)
-        if v.log_abs > -math.inf
-    ]
-    peak_digits = max(finite) if finite else 0.0
+    """Extended-precision surgery sum; digits scale with the cancellation.
+
+    scale is the double pass's log of the largest unreduced Jones magnitude.
+    """
+    colors = range(0, r - 2, 2)
     chain_growth = (len(chain) + 1) * math.log10(max(r, 2))
-    dps = int(max(30, peak_digits + chain_growth + 30))
+    dps = int(max(30, scale / math.log(10.0) + chain_growth + 30))
     with mp.workdps(dps):
-        jones = [jones_value_mp(knot, a, r, dps) for a in colors]
-        loops = [
-            (-1 if a % 2 else 1)
-            * mp.sin(2 * mp.pi * (a + 1) / r)
-            / mp.sin(2 * mp.pi / r)
-            for a in colors
-        ]
-        twists = [
-            mp.e ** (1j * mp.pi * (a - mp.mpf(a * (a + 2)) / r)) for a in colors
-        ]
-        count = len(colors)
-        smat = [
+        jones = np.array([jones_value_mp(knot, a, r, dps) for a in colors])
+        loops = np.array(
             [
-                (-1 if (b + c) % 2 else 1)
-                * mp.sin(2 * mp.pi * (b + 1) * (c + 1) / r)
+                (-1 if a % 2 else 1)
+                * mp.sin(2 * mp.pi * (a + 1) / r)
                 / mp.sin(2 * mp.pi / r)
-                for c in colors
+                for a in colors
             ]
-            for b in colors
-        ]
-        w = list(loops)
-        for a in reversed(chain[1:]):
-            tw = [twists[i] ** a * w[i] for i in range(count)]
-            w = [
-                sum((smat[i][j] * tw[j] for j in range(count)), mp.mpc(0))
-                for i in range(count)
-            ]
-        z = sum(
-            (loops[i] * jones[i] * twists[i] ** chain[0] * w[i] for i in range(count)),
-            mp.mpc(0),
         )
+        twists = np.array(
+            [mp.e ** (1j * mp.pi * (a - mp.mpf(a * (a + 2)) / r)) for a in colors]
+        )
+        smat = np.array(
+            [
+                [
+                    (-1 if (b + c) % 2 else 1)
+                    * mp.sin(2 * mp.pi * (b + 1) * (c + 1) / r)
+                    / mp.sin(2 * mp.pi / r)
+                    for c in colors
+                ]
+                for b in colors
+            ]
+        )
+        z = _contract(smat, twists, loops, loops * jones, chain)
         log_z = float(mp.log(abs(z))) if z != 0 else -math.inf
     return _assemble_sample(slope, chain, r, log_z, condition, f"mp{dps}")
 

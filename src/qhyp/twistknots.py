@@ -413,14 +413,6 @@ def twist_knot_alexander(n: int) -> LaurentPolynomial:
     return LaurentPolynomial({1: n, 0: -(2 * n + 1), -1: n}).normalized()
 
 
-def fibered_data(knot: DoubleTwistKnot):
-    """Convenience bundle: (fraction, cfe-or-NOT_FIBERED, genus-or-None)."""
-    frac = fraction_of(knot)
-    cfe = fibered_cfe(frac)
-    genus = fiber_genus(cfe) if isinstance(cfe, ContinuedFraction) else None
-    return frac, cfe, genus
-
-
 __all__ = [
     "DoubleTwistKnot",
     "TwoBridgeFraction",
@@ -436,6 +428,5 @@ __all__ = [
     "alexander_genus1_seifert",
     "twist_knot_alexander",
     "is_monic",
-    "fibered_data",
     "alternating_cfe",
 ]

@@ -1,0 +1,45 @@
+"""The names the benchmark looks up in qhyp must keep resolving.
+
+perfbench/worker.py checks that the CLI caches start empty, and
+perfbench/tracing.py wraps each layer's functions by name; a rename or a
+dropped cache would otherwise fail only inside a benchmark run.
+"""
+
+import importlib.util
+import sys
+from pathlib import Path
+
+PERFBENCH = Path(__file__).resolve().parent.parent / "perfbench"
+
+
+def _load(name):
+    spec = importlib.util.spec_from_file_location(f"_perfbench_{name}", PERFBENCH / f"{name}.py")
+    module = importlib.util.module_from_spec(spec)
+    writes, sys.dont_write_bytecode = sys.dont_write_bytecode, True
+    try:
+        spec.loader.exec_module(module)
+    finally:
+        sys.dont_write_bytecode = writes
+    return module
+
+
+def test_cold_caches_are_caches():
+    caches = _load("worker")._cold_caches()
+    assert caches
+    for name, fn in caches.items():
+        assert hasattr(fn, "cache_info"), name
+
+
+def test_tracer_installs_and_uninstalls():
+    from qhyp.quantum import jones, recoupling
+
+    tet_grid = recoupling.RecouplingLevel.tet_grid
+    fig8 = jones.figure_eight_log
+    tracer = _load("tracing").Tracer()
+    tracer.install()
+    try:
+        assert jones.figure_eight_log is not fig8
+    finally:
+        tracer.uninstall()
+    assert jones.figure_eight_log is fig8
+    assert recoupling.RecouplingLevel.tet_grid is tet_grid

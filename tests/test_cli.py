@@ -93,6 +93,29 @@ def test_census_bounds(capsys):
     assert "62/62 rows pass" in out
 
 
+@pytest.mark.parametrize(
+    "argv",
+    [
+        ("tv", "--knot", "2,-2", "--format", "text"),
+        ("ltv", "--knot", "2,-2", "--format", "text"),
+        ("ltv", "--knot", "2,-3", "--slope", "5", "--precision", "extended"),
+    ],
+)
+def test_removed_options_are_usage_errors(argv):
+    levels = ("--r-min", "11", "--r-max", "17", "--r-step", "2")  # quick if accepted
+    with pytest.raises(SystemExit) as err:
+        main(list(argv + levels))
+    assert err.value.code == 2
+
+
+@pytest.mark.parametrize("value", ["abc", "-3", "0"])
+def test_bad_worker_count_fails(capsys, monkeypatch, value):
+    monkeypatch.setenv("QHYP_THREADS", value)
+    code = main(["tv", "--knot", "2,-2", "--r-min", "5", "--r-max", "9"])
+    assert code == 1
+    assert "QHYP_THREADS" in capsys.readouterr().err
+
+
 def test_usage_error_exit_code():
     with pytest.raises(SystemExit) as err:
         main(["jones", "--knot", "2,-2"])  # missing required flags

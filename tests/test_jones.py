@@ -5,9 +5,12 @@ import pytest
 
 from qhyp.quantum.diagram import component_count, writhe
 from qhyp.quantum.jones import (
+    CONDITION_LIMIT,
+    _fusion_log,
     colored_jones,
     figure_eight_cross_sum,
     figure_eight_cross_sum_mp,
+    figure_eight_log,
     fusion_value_mp,
 )
 from qhyp.quantum.oracles import (
@@ -145,6 +148,37 @@ def test_mp_twins_match_double():
         a = complex(fusion_value_mp(DoubleTwistKnot(2, -3), color, 21, 40))
         b = colored_jones(DoubleTwistKnot(2, -3), color + 1, ctx)
         assert abs(a - b) <= 1e-9 * max(1.0, abs(b))
+    # every complement color at r = 101, escalated spots (N = 23..30) included
+    for N in range(1, 51):
+        a = complex(figure_eight_cross_sum_mp(N, 101, 40))
+        b = figure_eight_log(N, 101).to_complex()
+        assert abs(a - b) <= 1e-10 * max(1.0, abs(a)), N
+
+
+@pytest.mark.xfail(
+    strict=True,
+    reason="known defect: from N = (r+1)/2 on, the factor {r} is 0 but comes out "
+    "near 1e-16 in doubles; later factors amplify it while the partial "
+    "products stay small, so the cancellation ratio stays near 1 and no "
+    "escalation happens (N = 90..100 at r = 101 are off by up to 2e-5)",
+)
+def test_figure_eight_log_past_half_level():
+    # the surgery state sum uses these colors (N up to r - 2)
+    for N in range(51, 101):
+        a = complex(figure_eight_cross_sum_mp(N, 101, 40))
+        b = figure_eight_log(N, 101).to_complex()
+        assert abs(a - b) <= 1e-10 * max(1.0, abs(a)), N
+
+
+def test_escalation_dps_rule():
+    # both evaluators escalate through one rule: max(35, int(log10(cond)) + 25)
+    fig8 = figure_eight_log(18, 63)  # condition 4.4e4
+    fusion = _fusion_log(DoubleTwistKnot(2, 2), 22, 61)  # condition 2.8e11
+    for value, label in ((fig8, "fig8-mp"), (fusion, "mp")):
+        assert value.condition > CONDITION_LIMIT
+        dps = max(35, int(math.log10(value.condition)) + 25)
+        assert value.precision == f"{label}{dps}"
+    assert (fig8.precision, fusion.precision) == ("fig8-mp35", "mp36")
 
 
 def test_mirror_conjugation():

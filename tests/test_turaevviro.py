@@ -5,6 +5,7 @@ import pytest
 
 from qhyp.rationals import ExactRational, evaluate_minus_cfe, minus_cfe
 from qhyp.twistknots import DoubleTwistKnot, mirror
+from qhyp.quantum import turaevviro
 from qhyp.quantum.turaevviro import (
     TVSample,
     _tv_surgery_double,
@@ -93,11 +94,21 @@ def test_precision_modes_agree():
         tv_surgery(FIG8, ExactRational(5), 31, precision="quad")
 
 
-def test_flagged_exceptional_filling_escalates():
+def test_flagged_exceptional_filling_escalates(monkeypatch):
+    calls = []
+    original = turaevviro.jones_log_all_colors
+
+    def counted(*args, **kwargs):
+        calls.append(args)
+        return original(*args, **kwargs)
+
+    monkeypatch.setattr(turaevviro, "jones_log_all_colors", counted)
     sample = tv_surgery(FIG8, ExactRational(1), 151)
     assert sample.condition > 1e6
-    assert sample.precision.startswith("mp")
+    assert sample.precision == "mp47"
     assert abs(sample.logslope) < 0.3
+    # the mpmath pass sizes its digits from the double pass's Jones values
+    assert len(calls) == 1
 
 
 def test_sample_dataclass():
