@@ -62,7 +62,6 @@ from .quantum import (
     figure_eight_cross_sum,
     ltv_estimate,
     q_hyperbolicity_report,
-    quantum_integer,
     surgery_sweep,
     tv_knot_complement,
     tv_surgery,

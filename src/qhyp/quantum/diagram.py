@@ -64,10 +64,6 @@ class PlatDiagram:
     arcs: tuple[tuple[int, int], ...]  # cups and caps as permanent joins
     node_count: int
 
-    @property
-    def crossing_count(self) -> int:
-        return len(self.crossings)
-
 
 def braid_letters(m: int, n: int) -> list[tuple[int, int]]:
     """The template's braid word as (0-based left lane, sign) letters."""

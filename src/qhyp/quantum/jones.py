@@ -17,14 +17,15 @@ The figure-eight knot has a classical expansion whose terms are products of
 bounded sine factors, one loop in either arithmetic (_figure_eight_sum); it
 doubles as an independent cross-check of the fusion engine and as the fast
 path for the figure-eight level sweeps.  Both evaluators escalate through
-one helper (_escalate).
+one helper (_escalate), and every mpmath path reads its roots of unity from
+one table per (level, digits), _mp_level(r, dps).
 """
 
 from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from functools import lru_cache
+from functools import cached_property, lru_cache
 
 import mpmath as mp
 import numpy as np
@@ -161,8 +162,15 @@ def _figure_eight_sum(N: int, braces, one):
 
 
 def _braces(N: int, ctx: RootOfUnityContext) -> list[complex]:
-    """{x} = t^(x/2) - t^(-x/2) in doubles, for x < 2N."""
-    return [ctx.t_half_power(x) - ctx.t_half_power(-x) for x in range(2 * N)]
+    """{x} = t^(x/2) - t^(-x/2) in doubles, for x < 2N.
+
+    {r} is exactly 0; computed, it would come out near 1e-16 and the later
+    factors of the expansion would amplify it unseen.
+    """
+    return [
+        ctx.t_half_power(x) - ctx.t_half_power(-x) if x != ctx.r else 0j
+        for x in range(2 * N)
+    ]
 
 
 def figure_eight_log(N: int, r: int) -> LogComplex:
@@ -235,13 +243,10 @@ def figure_eight_cross_sum(N: int, ctx: RootOfUnityContext) -> complex:
 
 
 def figure_eight_cross_sum_mp(N: int, r: int, dps: int):
-    """The figure-eight expansion under mpmath, for flagged surgery sums."""
+    """The figure-eight expansion under mpmath, over the braces of the
+    shared level table _mp_level(r, dps)."""
     with mp.workdps(dps):
-        def t_half(k):
-            return mp.e ** (2j * mp.pi * mp.mpf(k) / r)
-
-        braces = [t_half(x) - t_half(-x) for x in range(2 * N)]
-        return _figure_eight_sum(N, braces, mp.mpc(1))[0]
+        return _figure_eight_sum(N, _mp_level(r, dps).braces, mp.mpc(1))[0]
 
 
 def jones_value_mp(knot: DoubleTwistKnot, color: int, r: int, dps: int):
@@ -261,7 +266,12 @@ def jones_value_mp(knot: DoubleTwistKnot, color: int, r: int, dps: int):
 
 
 class _MpLevel:
-    """Quantized-integer factorial tables at level r in mpmath arithmetic."""
+    """Quantized-integer factorial tables at level r in mpmath arithmetic.
+
+    The one place the package evaluates mpmath sines and exponentials: the
+    fusion twin, the figure-eight expansion and the surgery state sum all
+    read their roots of unity from the level cached by _mp_level(r, dps).
+    """
 
     def __init__(self, r: int, dps: int):
         self.r = r
@@ -275,6 +285,18 @@ class _MpLevel:
                 self.qint[k] = mp.sin(2 * mp.pi * k / r) / unit
                 if k >= 1:
                     self.fac[k] = self.fac[k - 1] * self.qint[k]
+
+    @cached_property
+    def braces(self) -> list:
+        """{x} = t^(x/2) - t^(-x/2) = 2i sin(2 pi / r) [x], exactly 0 at r | x.
+
+        Built on first use: most levels serve the fusion twin only.
+        """
+        with mp.workdps(self.dps):
+            unit = 2j * mp.sin(2 * mp.pi / self.r)
+            return [
+                unit * q if k % self.r else mp.mpc(0) for k, q in enumerate(self.qint)
+            ]
 
     def theta(self, a: int, c: int):
         h = c // 2

@@ -8,7 +8,6 @@ of the level-r theory consists of the (r-1)/2 even integers 0, 2, ..., r-3.
 from __future__ import annotations
 
 import cmath
-import math
 from dataclasses import dataclass
 
 
@@ -35,22 +34,9 @@ class RootOfUnityContext:
         """The bracket variable A with A^(-4) = t = q^2."""
         return cmath.exp(-1j * cmath.pi / self.r)
 
-    @property
-    def color_set(self) -> tuple[int, ...]:
-        """The even colors 0, 2, ..., r-3; there are (r-1)/2 of them."""
-        return tuple(range(0, self.r - 2, 2))
-
     def t_half_power(self, k: int) -> complex:
         """t^(k/2) = q^k, half-integer powers taken through q."""
         return cmath.exp(2j * cmath.pi * k / self.r)
 
 
-def quantum_integer(n: int, ctx: RootOfUnityContext) -> float:
-    """The quantized integer [n] = (t^n - t^-n)/(t - t^-1) at t = q^2.
-
-    Equals sin(4 pi n / r) / sin(4 pi / r); real, with [0] = 0 and [1] = 1.
-    """
-    return math.sin(4 * math.pi * n / ctx.r) / math.sin(4 * math.pi / ctx.r)
-
-
-__all__ = ["RootOfUnityContext", "quantum_integer"]
+__all__ = ["RootOfUnityContext"]

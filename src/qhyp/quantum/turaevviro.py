@@ -2,8 +2,9 @@
 
 For a knot complement the invariant at level r is a positive sum over the
 color dimensions N = 1 .. (r-1)/2 of squared moduli of normalized colored
-Jones values, scaled by eta^2 = (2/r) sin^2(2 pi / r); no cancellation can
-occur and doubles suffice at any level used here.
+Jones values, scaled by eta^2 = (2/r) sin^2(2 pi / r).  The outer sum cannot
+cancel, but the Jones values themselves can: colors whose sums cancel are
+escalated to mpmath by the Jones evaluators, so doubles alone do not suffice.
 
 For a closed surgery M_K(p/q) the invariant is the squared modulus of the
 surgery state sum: the slope is expanded as an integer chain
@@ -19,7 +20,8 @@ fillings, where the true value is polynomially small against exponentially
 large terms.  Each evaluation therefore tracks the cancellation ratio
 sum |terms| / |sum|; when it exceeds CONDITION_LIMIT the level/slope pair is
 flagged and recomputed under mpmath with enough digits to cover the
-cancellation plus a safety margin.
+cancellation plus a safety margin, from the same cached level table
+(jones._mp_level) that the Jones evaluators use at those digits.
 """
 
 from __future__ import annotations
@@ -32,7 +34,7 @@ import numpy as np
 
 from ..rationals import Slope, minus_cfe
 from ..twistknots import DoubleTwistKnot
-from .jones import jones_log_all_colors, jones_value_mp
+from .jones import _mp_level, jones_log_all_colors, jones_value_mp
 from .recoupling import recoupling_level
 
 #: cancellation ratio beyond which doubles are not trusted
@@ -91,12 +93,13 @@ def _chain_rank(chain: list[int], slope: Slope) -> int:
 
 
 def _modular_s(r: int) -> np.ndarray:
-    """Unnormalized S pairing on the even colors: (-1)^(b+c) [(b+1)(c+1)]."""
+    """Unnormalized S pairing on the even colors: [(b+1)(c+1)].
+
+    The sign (-1)^(b+c) of the general pairing is 1 on even colors.
+    """
     colors = np.arange(0, r - 2, 2)
     prod = np.outer(colors + 1, colors + 1)
-    return ((-1.0) ** np.add.outer(colors, colors)) * (
-        np.sin(2 * np.pi * prod / r) / np.sin(2 * np.pi / r)
-    )
+    return np.sin(2 * np.pi * prod / r) / np.sin(2 * np.pi / r)
 
 
 def _gauss_magnitude(r: int) -> float:
@@ -218,34 +221,20 @@ def _tv_surgery_mp(
     """Extended-precision surgery sum; digits scale with the cancellation.
 
     scale is the double pass's log of the largest unreduced Jones magnitude.
+    Loop values, twists and S entries come from the shared level table
+    _mp_level(r, dps), which the figure-eight Jones values read too.
     """
     colors = range(0, r - 2, 2)
     chain_growth = (len(chain) + 1) * math.log10(max(r, 2))
     dps = int(max(30, scale / math.log(10.0) + chain_growth + 30))
+    level = _mp_level(r, dps)
     with mp.workdps(dps):
         jones = np.array([jones_value_mp(knot, a, r, dps) for a in colors])
-        loops = np.array(
-            [
-                (-1 if a % 2 else 1)
-                * mp.sin(2 * mp.pi * (a + 1) / r)
-                / mp.sin(2 * mp.pi / r)
-                for a in colors
-            ]
-        )
-        twists = np.array(
-            [mp.e ** (1j * mp.pi * (a - mp.mpf(a * (a + 2)) / r)) for a in colors]
-        )
-        smat = np.array(
-            [
-                [
-                    (-1 if (b + c) % 2 else 1)
-                    * mp.sin(2 * mp.pi * (b + 1) * (c + 1) / r)
-                    / mp.sin(2 * mp.pi / r)
-                    for c in colors
-                ]
-                for b in colors
-            ]
-        )
+        loops = np.array([level.loop(a) for a in colors])
+        twists = np.array([level.framing(a) for a in colors])
+        # S entries are [(b+1)(c+1)], and [k] has period r
+        dims = np.array(colors) + 1
+        smat = np.array(level.qint, dtype=object)[np.outer(dims, dims) % r]
         z = _contract(smat, twists, loops, loops * jones, chain)
         log_z = float(mp.log(abs(z))) if z != 0 else -math.inf
     return _assemble_sample(slope, chain, r, log_z, condition, f"mp{dps}")

@@ -62,10 +62,6 @@ class ExactRational:
     def is_infinite(self) -> bool:
         return self.denominator == 0
 
-    @property
-    def is_integer(self) -> bool:
-        return self.denominator == 1
-
     def _require_finite(self, op: str) -> None:
         if self.is_infinite:
             raise RationalError(f"{op} is not defined for the infinite slope")

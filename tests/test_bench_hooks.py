@@ -43,3 +43,22 @@ def test_tracer_installs_and_uninstalls():
         tracer.uninstall()
     assert jones.figure_eight_log is fig8
     assert recoupling.RecouplingLevel.tet_grid is tet_grid
+
+
+def test_tracer_sees_the_surgery_level_lookups():
+    # the surgery sum reads the shared mpmath level through its own import,
+    # so jones.mp_level spans and build counts must cover that name too
+    from qhyp.quantum import jones, turaevviro
+
+    level = jones._mp_level
+    assert turaevviro._mp_level is level
+    tracer = _load("tracing").Tracer()
+    tracer.install()
+    try:
+        assert jones._mp_level is not level
+        assert turaevviro._mp_level is jones._mp_level
+        assert jones._mp_level.__wrapped__ is level
+    finally:
+        tracer.uninstall()
+    assert jones._mp_level is level
+    assert turaevviro._mp_level is level

@@ -5,7 +5,7 @@ import pytest
 
 from qhyp.rationals import ExactRational, evaluate_minus_cfe, minus_cfe
 from qhyp.twistknots import DoubleTwistKnot, mirror
-from qhyp.quantum import turaevviro
+from qhyp.quantum import jones, turaevviro
 from qhyp.quantum.turaevviro import (
     TVSample,
     _tv_surgery_double,
@@ -86,10 +86,17 @@ def test_chain_invariance():
 
 
 def test_precision_modes_agree():
-    sample_d = tv_surgery(FIG8, ExactRational(5), 31, precision="double")
-    sample_x = tv_surgery(FIG8, ExactRational(5), 31, precision="extended")
-    assert sample_d.tv == pytest.approx(sample_x.tv, rel=1e-7)
-    assert sample_x.precision.startswith("mp")
+    # both Jones routes (figure-eight expansion and fusion) against the
+    # mpmath level's loop, twist and S data
+    for knot, slope, r in (
+        (FIG8, ExactRational(5), 31),
+        (FIG8, ExactRational(-7, 2), 31),
+        (DoubleTwistKnot(2, -3), ExactRational(9), 21),
+    ):
+        sample_d = tv_surgery(knot, slope, r, precision="double")
+        sample_x = tv_surgery(knot, slope, r, precision="extended")
+        assert sample_d.tv == pytest.approx(sample_x.tv, rel=1e-11), (knot, slope, r)
+        assert sample_x.precision.startswith("mp")
     with pytest.raises(ValueError):
         tv_surgery(FIG8, ExactRational(5), 31, precision="quad")
 
@@ -103,12 +110,16 @@ def test_flagged_exceptional_filling_escalates(monkeypatch):
         return original(*args, **kwargs)
 
     monkeypatch.setattr(turaevviro, "jones_log_all_colors", counted)
+    jones._mp_level.cache_clear()
     sample = tv_surgery(FIG8, ExactRational(1), 151)
     assert sample.condition > 1e6
     assert sample.precision == "mp47"
     assert abs(sample.logslope) < 0.3
     # the mpmath pass sizes its digits from the double pass's Jones values
     assert len(calls) == 1
+    # one mpmath level at dps 35 serves the double pass's figure-eight
+    # escalations, one at dps 47 the whole surgery sum
+    assert jones._mp_level.cache_info().misses == 2
 
 
 def test_sample_dataclass():
