@@ -28,6 +28,7 @@ from dataclasses import dataclass
 from functools import cached_property, lru_cache
 
 import mpmath as mp
+from mpmath.libmp import mpf_mul, mpf_sum, round_nearest
 import numpy as np
 
 from ..twistknots import DoubleTwistKnot
@@ -298,41 +299,17 @@ class _MpLevel:
                 unit * q if k % self.r else mp.mpc(0) for k, q in enumerate(self.qint)
             ]
 
-    def theta(self, a: int, c: int):
-        h = c // 2
-        sign = -1 if (a + h) % 2 else 1
-        return (
-            sign
-            * self.fac[a + h + 1]
-            * self.fac[a - h]
-            * self.fac[h] ** 2
-            / (self.fac[a] ** 2 * self.fac[c])
-        )
+    @cached_property
+    def inv_fac_sq(self) -> list:
+        """1/[k]!^2 for k <= r - 1 as raw mpmath tuples, for the fusion twin.
+
+        [k]! for k >= r holds the rounding-size [r], so it is left out.
+        """
+        with mp.workdps(self.dps):
+            return [(1 / self.fac[k] ** 2)._mpf_ for k in range(self.r)]
 
     def loop(self, c: int):
         return (-1 if c % 2 else 1) * self.qint[c + 1]
-
-    def tet(self, a: int, c: int, d: int):
-        c2, d2 = c // 2, d // 2
-        a1, a3 = a + c2, a + d2
-        b12, b3 = a + c2 + d2, 2 * a
-        pref = (
-            self.fac[d2] ** 4
-            * self.fac[c2] ** 4
-            * self.fac[a - c2] ** 2
-            * self.fac[a - d2] ** 2
-            / (self.fac[a] ** 4 * self.fac[c] * self.fac[d])
-        )
-        total = mp.mpf(0)
-        for s in range(max(a1, a3), min(b12, b3, self.r - 2) + 1):
-            term = self.fac[s + 1] / (
-                self.fac[s - a1] ** 2
-                * self.fac[s - a3] ** 2
-                * self.fac[b12 - s] ** 2
-                * self.fac[b3 - s]
-            )
-            total += term if s % 2 == 0 else -term
-        return pref * total
 
     def half_twist(self, a: int, c: int):
         num = 2 * (a - c // 2) * self.r - (c * (c + 2) - 2 * a * (a + 2))
@@ -348,22 +325,61 @@ def _mp_level(r: int, dps: int) -> _MpLevel:
 
 
 def fusion_value_mp(knot: DoubleTwistKnot, color: int, r: int, dps: int):
-    """mpmath evaluation of the fusion formula at strand color a."""
+    """mpmath evaluation of the fusion formula at strand color a.
+
+    The double sum runs over channel pairs c = 2i, d = 2j with weights
+    U_i = w_i h_i^x and V_j = w_j h_j^y, where h is the half-twist
+    eigenvalue and w_i = loop(c) / theta(a, c) times the channel's share
+    [i]!^4 [a-i]!^2 / [c]! of the tetrahedral prefactor; the shares' common
+    1/[a]!^4 cancels against the thetas.  The tetrahedral network is
+    symmetric in c and d, so each unordered pair is summed once, weighted by
+    U_i V_j + U_j V_i.  Its coefficient is the sum over s of
+    G[s] F[s-a-i] F[s-a-j] F[a+i+j-s], with G[s] = (-1)^s [s+1]! / [2a-s]!
+    and F = 1/[k]!^2, formed from exact products of the raw mantissas and
+    rounded once to the working precision.
+    """
     level = _mp_level(r, dps)
     with mp.workdps(dps):
         a = color
         if a == 0:
             return mp.mpc(1)
-        cmax = min(2 * a, 2 * (r - 2) - 2 * a)
-        cs = range(0, cmax + 1, 2)
-        coefs = {c: level.loop(c) / level.theta(a, c) for c in cs}
+        fac, prec = level.fac, mp.mp.prec
         x, y = region_twists(knot.m, knot.n)
-        tw = {c: level.half_twist(a, c) for c in cs}
+        U, V = [], []
+        for i in range(min(a, r - 2 - a) + 1):
+            # loop(2i) / theta(a, 2i) * [i]!^4 [a-i]!^2 / ([2i]! [a]!^2)
+            weight = (-1) ** (a + i) * level.qint[2 * i + 1] * fac[i] ** 2
+            weight *= fac[a - i] / fac[a + i + 1]
+            h = level.half_twist(a, 2 * i)
+            U.append(weight * h**x)
+            V.append(weight * h**y)
+        F = level.inv_fac_sq
+        smax = min(2 * a, r - 2)
+        G = {
+            s: ((-1) ** s * fac[s + 1] / fac[2 * a - s])._mpf_
+            for s in range(a, smax + 1)
+        }
         total = mp.mpc(0)
-        for c in cs:
-            tc = coefs[c] * tw[c] ** x
-            for d in cs:
-                total += tc * coefs[d] * tw[d] ** y * level.tet(a, c, d)
+        n = len(U)
+        for i in range(n):
+            # G[s] F[s-a-i], exact, shared by every pair (i, j)
+            H = {s: mpf_mul(G[s], F[s - a - i]) for s in range(a + i, smax + 1)}
+            row = [
+                mp.make_mpf(
+                    mpf_sum(
+                        [
+                            mpf_mul(mpf_mul(H[s], F[s - a - j]), F[a + i + j - s])
+                            for s in range(a + j, min(a + i + j, smax) + 1)
+                        ],
+                        prec,
+                        round_nearest,
+                    )
+                )
+                for j in range(i, n)
+            ]
+            # sum over j > i of row[j] (U_i V_j + U_j V_i), plus the diagonal
+            total += U[i] * (row[0] * V[i] + mp.fdot(row[1:], V[i + 1 :]))
+            total += V[i] * mp.fdot(row[1:], U[i + 1 :])
         w = _writhe_cached(knot.m, knot.n)
         return total * level.framing(a) ** (-w) / level.loop(a)
 

@@ -140,8 +140,7 @@ def tv_surgery(
     sample, scale = _surgery_double(knot, slope, chain, r)
     if precision == "double" or (precision == "auto" and not sample.flagged):
         return sample
-    condition = math.inf if precision == "extended" else sample.condition
-    return _tv_surgery_mp(knot, slope, chain, r, scale, condition)
+    return _tv_surgery_mp(knot, slope, chain, r, scale)
 
 
 def _contract(smat, twists, w, vec, chain):
@@ -216,13 +215,13 @@ def _tv_surgery_mp(
     chain: list[int],
     r: int,
     scale: float,
-    condition: float,
 ) -> TVSample:
     """Extended-precision surgery sum; digits scale with the cancellation.
 
     scale is the double pass's log of the largest unreduced Jones magnitude.
     Loop values, twists and S entries come from the shared level table
-    _mp_level(r, dps), which the figure-eight Jones values read too.
+    _mp_level(r, dps), which the figure-eight Jones values read too.  The
+    condition is the cancellation ratio of this sum, as in doubles.
     """
     colors = range(0, r - 2, 2)
     chain_growth = (len(chain) + 1) * math.log10(max(r, 2))
@@ -234,8 +233,15 @@ def _tv_surgery_mp(
         twists = np.array([level.framing(a) for a in colors])
         # S entries are [(b+1)(c+1)], and [k] has period r
         dims = np.array(colors) + 1
-        smat = np.array(level.qint, dtype=object)[np.outer(dims, dims) % r]
-        z = _contract(smat, twists, loops, loops * jones, chain)
+        qint = np.array(level.qint, dtype=object)
+        entries = np.outer(dims, dims) % r
+        vec = loops * jones
+        z = _contract(qint[entries], twists, loops, vec, chain)
+        ones = np.ones(len(colors))
+        z_abs = _contract(
+            np.abs(qint)[entries], ones, np.abs(loops), np.abs(vec), chain
+        )
+        condition = float(z_abs / abs(z)) if z != 0 else math.inf
         log_z = float(mp.log(abs(z))) if z != 0 else -math.inf
     return _assemble_sample(slope, chain, r, log_z, condition, f"mp{dps}")
 

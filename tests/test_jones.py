@@ -1,12 +1,14 @@
 import math
 import random
 
+import mpmath as mp
 import pytest
 
-from qhyp.quantum.diagram import component_count, writhe
+from qhyp.quantum.diagram import component_count, region_twists, writhe
 from qhyp.quantum.jones import (
     CONDITION_LIMIT,
     _fusion_log,
+    _mp_level,
     colored_jones,
     figure_eight_cross_sum,
     figure_eight_cross_sum_mp,
@@ -130,15 +132,82 @@ def test_mp_twins_match_double():
         a = complex(figure_eight_cross_sum_mp(N, 21, 40))
         b = figure_eight_cross_sum(N, ctx)
         assert abs(a - b) <= 1e-10 * max(1.0, abs(b))
-    for color in (0, 1, 3, 5):
-        a = complex(fusion_value_mp(DoubleTwistKnot(2, -3), color, 21, 40))
-        b = colored_jones(DoubleTwistKnot(2, -3), color + 1, ctx)
-        assert abs(a - b) <= 1e-9 * max(1.0, abs(b))
+    # every color whose double sum is trusted, past the half level too,
+    # where the tetrahedral sums are clipped at s = r - 2
+    for knot in (DoubleTwistKnot(2, -3), DoubleTwistKnot(-4, -3)):
+        for color in range(40):
+            double = _fusion_log(knot, color, 41, "double")
+            if double.condition > CONDITION_LIMIT:
+                continue
+            a = complex(fusion_value_mp(knot, color, 41, 40))
+            b = double.to_complex()
+            assert abs(a - b) <= 1e-9 * max(1.0, abs(b)), (knot, color)
     # every complement color at r = 101, escalated spots (N = 23..30) included
     for N in range(1, 51):
         a = complex(figure_eight_cross_sum_mp(N, 101, 40))
         b = figure_eight_log(N, 101).to_complex()
         assert abs(a - b) <= 1e-10 * max(1.0, abs(a)), N
+
+
+def _fusion_formula_mp(knot, a, r, dps):
+    """The fusion double sum term by term: loop(c) loop(d) / (theta theta)
+    times half-twist powers and the tetrahedral network, over every ordered
+    channel pair (c, d)."""
+    level = _mp_level(r, dps)
+    fac = level.fac
+    with mp.workdps(dps):
+
+        def theta(c):
+            h = c // 2
+            num = (-1) ** (a + h) * fac[a + h + 1] * fac[a - h] * fac[h] ** 2
+            return num / (fac[a] ** 2 * fac[c])
+
+        def tet(c, d):
+            a1, a3, b12 = a + c // 2, a + d // 2, a + c // 2 + d // 2
+            pref = fac[c // 2] ** 4 * fac[d // 2] ** 4 * fac[a - c // 2] ** 2
+            pref *= fac[a - d // 2] ** 2 / (fac[a] ** 4 * fac[c] * fac[d])
+            return pref * mp.fsum(
+                (-1) ** s
+                * fac[s + 1]
+                / (
+                    fac[s - a1] ** 2
+                    * fac[s - a3] ** 2
+                    * fac[b12 - s] ** 2
+                    * fac[2 * a - s]
+                )
+                for s in range(max(a1, a3), min(b12, 2 * a, r - 2) + 1)
+            )
+
+        x, y = region_twists(knot.m, knot.n)
+        cs = range(0, min(2 * a, 2 * (r - 2) - 2 * a) + 1, 2)
+        total = mp.fsum(
+            level.loop(c) / theta(c) * level.half_twist(a, c) ** x
+            * level.loop(d) / theta(d) * level.half_twist(a, d) ** y
+            * tet(c, d)
+            for c in cs
+            for d in cs
+        )
+        return total * level.framing(a) ** (-writhe(knot.m, knot.n)) / level.loop(a)
+
+
+def test_fusion_twin_matches_the_formula():
+    # every color, cancelling ones included, against the sum as written
+    for knot in (DoubleTwistKnot(2, -3), DoubleTwistKnot(2, 2)):
+        for color in range(1, 30):
+            a = fusion_value_mp(knot, color, 31, 40)
+            b = _fusion_formula_mp(knot, color, 31, 40)
+            assert abs(complex((a - b) / b)) <= 1e-25, (knot, color)
+
+
+def test_fusion_twin_keeps_its_digits():
+    # top-half colors at dps 40 against dps 90
+    for knot, r, color in (
+        (DoubleTwistKnot(2, -3), 151, 74),
+        (DoubleTwistKnot(-4, -3), 91, 44),
+    ):
+        a = fusion_value_mp(knot, color, r, 40)
+        b = fusion_value_mp(knot, color, r, 90)
+        assert abs(complex((a - b) / b)) <= 1e-15, (knot, r, color)
 
 
 def test_figure_eight_log_past_half_level():

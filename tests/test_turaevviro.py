@@ -122,6 +122,17 @@ def test_flagged_exceptional_filling_escalates(monkeypatch):
     assert jones._mp_level.cache_info().misses == 2
 
 
+def test_escalated_condition_is_measured_in_mpmath():
+    # the double pass's ratio is rounding noise at this depth; the mpmath
+    # pass measures its own, so both modes report the same condition
+    auto = tv_surgery(FIG8, ExactRational(1), 151)
+    extended = tv_surgery(FIG8, ExactRational(1), 151, precision="extended")
+    assert auto.precision == extended.precision == "mp47"
+    assert auto.tv == extended.tv
+    assert extended.condition == pytest.approx(auto.condition, rel=1e-9)
+    assert auto.flagged
+
+
 def test_sample_dataclass():
     s = TVSample(r=7, tv=1.0, logslope=0.0)
     assert not s.flagged
