@@ -18,7 +18,6 @@ from .rationals import (
     alternating_cfe,
     cfe_eval,
     minus_cfe,
-    negate_slope,
 )
 from .twistknots import (
     DoubleTwistKnot,
@@ -59,7 +58,6 @@ from .quantum import (
     colored_jones,
     colored_jones_rmatrix_oracle,
     complement_sweep,
-    figure_eight_cross_sum,
     ltv_estimate,
     q_hyperbolicity_report,
     surgery_sweep,

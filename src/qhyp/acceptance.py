@@ -470,7 +470,7 @@ def criterion_12() -> CriterionResult:
             if abs(a.tv - b.tv) > 1e-9 * max(a.tv, b.tv) + 1e-30:
                 return False, f"amphichirality failed at {p}/{q}, r={r}"
         # blow-up invariance of the surgery chain
-        from .quantum.turaevviro import _tv_surgery_double
+        from .quantum.turaevviro import _surgery_double
 
         for _ in range(50):
             p, q = rng.randint(-15, 15), rng.randint(1, 6)
@@ -482,8 +482,8 @@ def criterion_12() -> CriterionResult:
             if evaluate_minus_cfe(variant) != s:
                 return False, f"chain variant arithmetic failed at {s}"
             r = rng.choice((7, 9, 11))
-            a = _tv_surgery_double(FIG8, s, chain, r)
-            b = _tv_surgery_double(FIG8, s, variant, r)
+            a = _surgery_double(FIG8, s, chain, r)[0]
+            b = _surgery_double(FIG8, s, variant, r)[0]
             if abs(a.tv - b.tv) > 1e-8 * max(a.tv, b.tv) + 1e-30:
                 return False, f"chain invariance failed at {s}, r={r}"
         # complement samples are non-negative with finite logslope

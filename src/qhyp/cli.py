@@ -20,7 +20,13 @@ import os
 import sys
 from typing import Optional
 
-from .rationals import ContinuedFraction, ExactRational, cfe_eval, alternating_cfe
+from .rationals import (
+    ContinuedFraction,
+    ExactRational,
+    RationalError,
+    alternating_cfe,
+    cfe_eval,
+)
 from .twistknots import (
     DoubleTwistKnot,
     NOT_FIBERED,
@@ -58,7 +64,7 @@ def _parse_knot(text: str) -> DoubleTwistKnot:
 def _parse_slope(text: str) -> ExactRational:
     try:
         return ExactRational.parse(text)
-    except ValueError:
+    except (ValueError, RationalError):
         raise argparse.ArgumentTypeError(f"bad slope {text!r}") from None
 
 

@@ -3,7 +3,7 @@ invariants of double twist knot complements and of their rational surgeries,
 and growth-rate estimation."""
 
 from .roots import RootOfUnityContext
-from .jones import colored_jones, figure_eight_cross_sum
+from .jones import colored_jones
 from .oracles import colored_jones_kauffman_oracle, colored_jones_rmatrix_oracle
 from .turaevviro import tv_knot_complement, tv_surgery, TVSample
 from .growth import (
@@ -17,7 +17,6 @@ from .growth import (
 __all__ = [
     "RootOfUnityContext",
     "colored_jones",
-    "figure_eight_cross_sum",
     "colored_jones_kauffman_oracle",
     "colored_jones_rmatrix_oracle",
     "tv_knot_complement",

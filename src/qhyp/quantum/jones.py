@@ -230,19 +230,6 @@ def jones_log_all_colors(
     return [_fusion_log(knot, int(a), r, precision) for a in colors]
 
 
-def figure_eight_cross_sum(N: int, ctx: RootOfUnityContext) -> complex:
-    """Independent figure-eight cross-check value.
-
-    The telescoping sum over k of products of (t^((N-j)/2) - t^(-(N-j)/2))
-    (t^((N+j)/2) - t^(-(N+j)/2)) for j = 1..k, with half powers of t taken
-    through q.  Each factor is a bounded sine; the sum still cancels at
-    some (N, r), which figure_eight_log detects and escalates.
-    """
-    if N < 1:
-        raise ValueError("N must be positive")
-    return _figure_eight_sum(N, _braces(N, ctx), 1.0 + 0.0j)[0]
-
-
 def figure_eight_cross_sum_mp(N: int, r: int, dps: int):
     """The figure-eight expansion under mpmath, over the braces of the
     shared level table _mp_level(r, dps)."""
@@ -389,7 +376,6 @@ __all__ = [
     "CONDITION_LIMIT",
     "colored_jones",
     "jones_log_all_colors",
-    "figure_eight_cross_sum",
     "figure_eight_cross_sum_mp",
     "figure_eight_log",
     "fusion_value_mp",

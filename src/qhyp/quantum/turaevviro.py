@@ -32,7 +32,7 @@ from dataclasses import dataclass
 import mpmath as mp
 import numpy as np
 
-from ..rationals import Slope, minus_cfe
+from ..rationals import INFINITY, Slope, minus_cfe
 from ..twistknots import DoubleTwistKnot
 from .jones import _mp_level, jones_log_all_colors, jones_value_mp
 from .recoupling import recoupling_level
@@ -132,7 +132,7 @@ def tv_surgery(
     """
     if r < 5 or r % 2 == 0:
         raise ValueError("the level r must be odd and at least 5")
-    if slope.is_infinite:
+    if slope is INFINITY:
         raise ValueError("the infinite slope gives back the three-sphere")
     if precision not in ("auto", "double", "extended"):
         raise ValueError(f"unknown precision mode {precision!r}")
@@ -152,13 +152,6 @@ def _contract(smat, twists, w, vec, chain):
     for a in reversed(chain[1:]):
         w = smat @ (twists**a * w)
     return np.sum(vec * twists ** chain[0] * w)
-
-
-def _tv_surgery_double(
-    knot: DoubleTwistKnot, slope: Slope, chain: list[int], r: int
-) -> TVSample:
-    """The double-precision sample for a given chain of the slope."""
-    return _surgery_double(knot, slope, chain, r)[0]
 
 
 def _surgery_double(

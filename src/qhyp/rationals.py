@@ -1,14 +1,14 @@
-"""Exact rational arithmetic, surgery slopes, and finite continued fractions.
+"""Surgery slopes and finite continued fractions.
 
 Slopes on a knot-exterior boundary torus live in Q together with the single
 point at infinity (written ``1/0``), which labels the meridional filling.
-Everything here is exact: numerators and denominators are Python integers,
-so continued fractions of any length evaluate without overflow or rounding.
+Finite slopes are ``fractions.Fraction`` values and the infinite one is the
+sentinel ``INFINITY``, so continued fractions of any length evaluate exactly.
 """
 
 from __future__ import annotations
 
-from math import gcd
+from fractions import Fraction
 from typing import Iterable, Sequence
 
 
@@ -20,158 +20,57 @@ class RejectedSequenceError(ValueError):
     """A continued fraction hit a division by zero while evaluating."""
 
 
-class ExactRational:
-    """A reduced fraction p/q with q >= 0, plus the single value 1/0.
+class _Infinity:
+    """The infinite slope 1/0, equal only to itself.
 
-    Instances are immutable and hashable.  The infinite slope supports only
-    negation (a fixed point), equality, and reciprocal; other arithmetic on
-    it raises RationalError, since the surgery calculus never needs it.
+    It supports only negation (a fixed point) and equality; other arithmetic
+    and ordering raise RationalError, since the surgery calculus never needs
+    them.
     """
 
-    __slots__ = ("numerator", "denominator")
+    __slots__ = ()
+    numerator = 1
+    denominator = 0
 
-    def __init__(self, numerator, denominator=1):
-        if isinstance(numerator, ExactRational):
-            if denominator != 1:
-                raise ValueError("cannot rescale an ExactRational at construction")
-            object.__setattr__(self, "numerator", numerator.numerator)
-            object.__setattr__(self, "denominator", numerator.denominator)
-            return
-        numerator = int(numerator)
-        denominator = int(denominator)
+    def __neg__(self):
+        return self
+
+    def __str__(self):
+        return "1/0"
+
+    def __repr__(self):
+        return "INFINITY"
+
+    def _undefined(self, *_):
+        raise RationalError("arithmetic is not defined for the infinite slope")
+
+    __add__ = __radd__ = __sub__ = __rsub__ = __mul__ = __rmul__ = _undefined
+    __truediv__ = __rtruediv__ = __lt__ = __le__ = __gt__ = __ge__ = _undefined
+    __float__ = _undefined
+
+
+INFINITY = _Infinity()
+
+
+class ExactRational(Fraction):
+    """A slope p/q as a Fraction: p/0 gives INFINITY, 0/0 is rejected.
+
+    Arithmetic returns plain Fractions, which compare and hash like the
+    ExactRationals of the same value.
+    """
+
+    __slots__ = ()
+
+    def __new__(cls, numerator, denominator=None):
         if denominator == 0:
             if numerator == 0:
                 raise RationalError("0/0 is not a slope")
-            numerator = 1
-        else:
-            if denominator < 0:
-                numerator, denominator = -numerator, -denominator
-            g = gcd(abs(numerator), denominator)
-            if g > 1:
-                numerator //= g
-                denominator //= g
-        object.__setattr__(self, "numerator", numerator)
-        object.__setattr__(self, "denominator", denominator)
-
-    def __setattr__(self, name, value):
-        raise AttributeError("ExactRational is immutable")
-
-    # -- predicates ---------------------------------------------------------
-
-    @property
-    def is_infinite(self) -> bool:
-        return self.denominator == 0
-
-    def _require_finite(self, op: str) -> None:
-        if self.is_infinite:
-            raise RationalError(f"{op} is not defined for the infinite slope")
-
-    # -- arithmetic ---------------------------------------------------------
-
-    def __neg__(self) -> "ExactRational":
-        if self.is_infinite:
-            return self
-        return ExactRational(-self.numerator, self.denominator)
-
-    def reciprocal(self) -> "ExactRational":
-        """1/x, extended by 1/0 = infinity and 1/infinity = 0."""
-        if self.is_infinite:
-            return ExactRational(0)
-        if self.numerator == 0:
             return INFINITY
-        return ExactRational(self.denominator, self.numerator)
-
-    def _coerce(self, other):
-        if isinstance(other, ExactRational):
-            return other
-        if isinstance(other, int):
-            return ExactRational(other)
-        return NotImplemented
-
-    def __add__(self, other):
-        other = self._coerce(other)
-        if other is NotImplemented:
-            return NotImplemented
-        self._require_finite("addition")
-        other._require_finite("addition")
-        return ExactRational(
-            self.numerator * other.denominator + other.numerator * self.denominator,
-            self.denominator * other.denominator,
-        )
-
-    __radd__ = __add__
-
-    def __sub__(self, other):
-        other = self._coerce(other)
-        if other is NotImplemented:
-            return NotImplemented
-        return self + (-other)
-
-    def __rsub__(self, other):
-        other = self._coerce(other)
-        if other is NotImplemented:
-            return NotImplemented
-        return other + (-self)
-
-    def __mul__(self, other):
-        other = self._coerce(other)
-        if other is NotImplemented:
-            return NotImplemented
-        self._require_finite("multiplication")
-        other._require_finite("multiplication")
-        return ExactRational(
-            self.numerator * other.numerator, self.denominator * other.denominator
-        )
-
-    __rmul__ = __mul__
-
-    def __eq__(self, other):
-        other = self._coerce(other)
-        if other is NotImplemented:
-            return NotImplemented
-        return (
-            self.numerator == other.numerator
-            and self.denominator == other.denominator
-        )
-
-    def __hash__(self):
-        return hash((self.numerator, self.denominator))
-
-    def __lt__(self, other):
-        other = self._coerce(other)
-        if other is NotImplemented:
-            return NotImplemented
-        self._require_finite("comparison")
-        other._require_finite("comparison")
-        return self.numerator * other.denominator < other.numerator * self.denominator
-
-    def __le__(self, other):
-        return self == other or self < other
-
-    def __abs__(self):
-        if self.is_infinite:
-            return self
-        return ExactRational(abs(self.numerator), self.denominator)
-
-    def __float__(self):
-        self._require_finite("float conversion")
-        return self.numerator / self.denominator
-
-    # -- formatting ---------------------------------------------------------
-
-    def __str__(self):
-        if self.is_infinite:
-            return "1/0"
-        if self.denominator == 1:
-            return str(self.numerator)
-        return f"{self.numerator}/{self.denominator}"
-
-    def __repr__(self):
-        return f"ExactRational({self})"
+        return super().__new__(cls, numerator, denominator)
 
     @classmethod
-    def parse(cls, text: str) -> "ExactRational":
-        """Parse "p/q" or "p"; "1/0" denotes the infinite slope."""
+    def parse(cls, text: str) -> Slope:
+        """Parse "p/q" or "p" with integers p, q; "1/0" is the infinite slope."""
         text = text.strip()
         if "/" in text:
             p, q = text.split("/", 1)
@@ -179,16 +78,13 @@ class ExactRational:
         return cls(int(text))
 
 
-#: A slope p/q in Q plus 1/0; slopes of the form p/1 print as "p".
+#: Constructor of slopes; a slope is a Fraction or INFINITY.
 Slope = ExactRational
 
-INFINITY = ExactRational(1, 0)
-ZERO = ExactRational(0)
 
-
-def negate_slope(s: Slope) -> Slope:
-    """p/q -> -p/q, fixing 0 and the infinite slope."""
-    return -s
+def reciprocal(s: Slope) -> Slope:
+    """1/s, extended by 1/0 = INFINITY and 1/INFINITY = 0."""
+    return ExactRational(s.denominator, s.numerator)
 
 
 class ContinuedFraction:
@@ -237,14 +133,14 @@ class ContinuedFraction:
 
 def _evaluate(entries: Sequence[int]) -> ExactRational:
     # Evaluate from the innermost level outward; tail holds 1/(a_i + ...).
-    tail = ZERO
+    tail = ExactRational(0)
     for a in reversed(entries):
         level = tail + a
         if level.numerator == 0:
             raise RejectedSequenceError(
                 f"continued fraction {list(entries)} divides by zero at entry {a}"
             )
-        tail = level.reciprocal()
+        tail = reciprocal(level)
     return tail
 
 
@@ -271,7 +167,7 @@ def minus_cfe(slope: Slope) -> list[int]:
     This is the expansion used to present a rational filling as a chain of
     integer-framed unknots.  Nearest-integer steps keep the chain short.
     """
-    if slope.is_infinite:
+    if slope is INFINITY:
         raise RationalError("the infinite slope has no surgery chain")
     p, q = slope.numerator, slope.denominator
     entries = []
@@ -294,6 +190,6 @@ def evaluate_minus_cfe(entries: Sequence[int]) -> Slope:
         raise ValueError("empty chain")
     tail = INFINITY
     for a in reversed(entries):
-        inv = tail.reciprocal()
-        tail = INFINITY if inv.is_infinite else ExactRational(a) - inv
+        inv = reciprocal(tail)
+        tail = INFINITY if inv is INFINITY else a - inv
     return tail

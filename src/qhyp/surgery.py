@@ -18,7 +18,7 @@ from __future__ import annotations
 from dataclasses import dataclass, field
 from typing import Mapping
 
-from .rationals import ExactRational, Slope, INFINITY
+from .rationals import ExactRational, Slope, INFINITY, reciprocal
 
 
 class UnknownComponentError(KeyError):
@@ -133,9 +133,9 @@ def rolfsen_twist(
     new_components = []
     for c in pres.components.values():
         if c.id == twist_id:
-            inv = u.coefficient.reciprocal()
+            inv = reciprocal(u.coefficient)
             # a 0-framed twisting unknot stays 0-framed: 1/(1/0 + t) = 0
-            new_coeff = c.coefficient if inv.is_infinite else (inv + t).reciprocal()
+            new_coeff = c.coefficient if inv is INFINITY else reciprocal(inv + t)
             new_components.append(
                 SurgeryComponent(c.id, new_coeff, dict(c.linking), c.unknotted)
             )
@@ -154,7 +154,7 @@ def rolfsen_twist(
 
 def _blowdown_twist_count(coefficient: Slope) -> int:
     """The t with coefficient = -1/t, or raise NotBlowdownableError."""
-    if coefficient.is_infinite or abs(coefficient.numerator) != 1:
+    if coefficient is INFINITY or abs(coefficient.numerator) != 1:
         raise NotBlowdownableError(f"{coefficient} is not of the form -1/t")
     return -coefficient.numerator * coefficient.denominator
 

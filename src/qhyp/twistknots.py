@@ -12,7 +12,13 @@ from __future__ import annotations
 from dataclasses import dataclass
 from typing import Optional
 
-from .rationals import ContinuedFraction, ExactRational, alternating_cfe
+from .rationals import (
+    INFINITY,
+    ContinuedFraction,
+    ExactRational,
+    alternating_cfe,
+    reciprocal,
+)
 
 
 class NotTwoBridgeKnotError(ValueError):
@@ -87,7 +93,7 @@ class TwoBridgeFraction:
 
     def __post_init__(self):
         f = self.fraction
-        if f.is_infinite or f.numerator == 0:
+        if f is INFINITY or f.numerator == 0:
             raise NotTwoBridgeKnotError(f"{f} is not a two-bridge knot fraction")
         if f.denominator % 2 == 0:
             raise NotTwoBridgeKnotError(
@@ -176,7 +182,7 @@ def _peel_all_two(value: ExactRational) -> Optional[list[int]]:
     entries = []
     v = value
     while v.numerator != 0:
-        inv = v.reciprocal()
+        inv = reciprocal(v)
         candidate = None
         for a in (2, -2):
             diff = inv - a

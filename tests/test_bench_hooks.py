@@ -62,3 +62,22 @@ def test_tracer_sees_the_surgery_level_lookups():
         tracer.uninstall()
     assert jones._mp_level is level
     assert turaevviro._mp_level is level
+
+
+def test_benchmark_slope_and_cfe_contract():
+    # perfbench/workloads.py keys slopes with isinstance(s, ExactRational)
+    # and checks exact ops with == ExactRational(2g, 6g - 1)
+    from qhyp import rationals, surgery
+
+    workloads = _load("workloads")
+    ExactRational = rationals.ExactRational
+    assert isinstance(ExactRational, type)
+    for n in workloads.PAIR_NS:
+        for slope in surgery.shared_surgery("D", n):
+            assert isinstance(slope, ExactRational), (n, slope)
+            assert workloads.slope_key(slope) == str(slope)
+    for p, q in workloads.FIG8_SLOPES:
+        assert workloads.slope_key((p, q)) == str(ExactRational(p, q))
+    for g in (1, 2, 7, 200):
+        value = rationals.cfe_eval(rationals.alternating_cfe(g))
+        assert value == ExactRational(2 * g, 6 * g - 1)

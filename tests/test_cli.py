@@ -120,3 +120,10 @@ def test_usage_error_exit_code():
     with pytest.raises(SystemExit) as err:
         main(["jones", "--knot", "2,-2"])  # missing required flags
     assert err.value.code == 2
+
+
+@pytest.mark.parametrize("slope", ["0/0", "1.5", "abc", "3/"])
+def test_bad_slope_is_usage_error(slope):
+    with pytest.raises(SystemExit) as err:
+        main(["tv", "--knot", "2,-2", "--slope", slope])
+    assert err.value.code == 2

@@ -1,3 +1,5 @@
+from fractions import Fraction
+
 import pytest
 
 from qhyp.rationals import (
@@ -10,8 +12,9 @@ from qhyp.rationals import (
     cfe_eval,
     evaluate_minus_cfe,
     minus_cfe,
-    negate_slope,
+    reciprocal,
 )
+from qhyp.surgery import dn_filling_slope, is_exceptional_fig8_slope
 
 
 def test_reduction_and_sign():
@@ -24,8 +27,8 @@ def test_reduction_and_sign():
 
 def test_infinity_rules():
     assert -INFINITY == INFINITY
-    assert INFINITY.reciprocal() == ExactRational(0)
-    assert ExactRational(0).reciprocal() == INFINITY
+    assert reciprocal(INFINITY) == ExactRational(0)
+    assert reciprocal(ExactRational(0)) == INFINITY
     with pytest.raises(RationalError):
         INFINITY + 1
     with pytest.raises(RationalError):
@@ -38,9 +41,25 @@ def test_parse_round_trip():
 
 
 def test_negate_slope():
-    assert negate_slope(ExactRational(-7, 2)) == ExactRational(7, 2)
-    assert negate_slope(INFINITY) == INFINITY
-    assert negate_slope(ExactRational(0)) == ExactRational(0)
+    assert -ExactRational(-7, 2) == ExactRational(7, 2)
+    assert -INFINITY == INFINITY
+    assert -ExactRational(0) == ExactRational(0)
+
+
+def test_computed_slopes_match_constructed_ones():
+    # arithmetic returns plain Fractions; the exceptional-slope set and
+    # every slope comparison rely on them equalling and hashing like
+    # the constructed slopes of the same value
+    computed = evaluate_minus_cfe(minus_cfe(ExactRational(-4)))
+    assert not isinstance(computed, ExactRational)
+    assert computed == ExactRational(-4) and hash(computed) == hash(ExactRational(-4))
+    assert is_exceptional_fig8_slope(computed)
+    assert not isinstance(dn_filling_slope(2), ExactRational)
+    assert len({ExactRational(9), dn_filling_slope(2)}) == 1
+    assert reciprocal(ExactRational(-2, 7)) + Fraction(7, 2) == ExactRational(0)
+    for s in (ExactRational(0), ExactRational(1), ExactRational(-1), Fraction(5, 3)):
+        assert INFINITY != s and s != INFINITY
+    assert ExactRational(1, 0) is INFINITY and ExactRational(-3, 0) is INFINITY
 
 
 def test_cfe_values():
