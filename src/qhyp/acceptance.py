@@ -50,7 +50,12 @@ from .quantum.oracles import (
     colored_jones_rmatrix_oracle,
 )
 from .quantum.turaevviro import tv_knot_complement, tv_surgery
-from .quantum.growth import complement_sweep, ltv_estimate, surgery_sweep
+from .quantum.growth import (
+    MONOTONICITY_TOLERANCE,
+    complement_sweep,
+    ltv_estimate,
+    surgery_sweep,
+)
 
 FIG8 = DoubleTwistKnot(2, -2)
 
@@ -295,7 +300,6 @@ def criterion_9() -> CriterionResult:
 
 def criterion_10() -> CriterionResult:
     def body():
-        tolerance = 0.05
         details = []
         ok = True
         for n in (-2, 1, 2):
@@ -312,11 +316,11 @@ def criterion_10() -> CriterionResult:
             comp = ltv_estimate(complement_sweep(knot, (51, 81, 111, 141)))
             fill = ltv_estimate(surgery_sweep(FIG8, fig8_slope, range(101, 302, 50)))
             margin = comp.extrapolated - fill.extrapolated
-            if margin < -tolerance:
+            if margin < -MONOTONICITY_TOLERANCE:
                 ok = False
             details.append(
                 f"n={n}: complement {comp.extrapolated:.4f} >= filling "
-                f"{fill.extrapolated:.4f} - {tolerance}"
+                f"{fill.extrapolated:.4f} - {MONOTONICITY_TOLERANCE}"
             )
         return ok, "; ".join(details)
 
@@ -474,7 +478,7 @@ def criterion_12() -> CriterionResult:
 
         for _ in range(50):
             p, q = rng.randint(-15, 15), rng.randint(1, 6)
-            if p == 0 or abs(ExactRational(p, q).numerator) < 1:
+            if p == 0:
                 continue
             s = ExactRational(p, q)
             chain = minus_cfe(s)

@@ -150,16 +150,17 @@ def lookup(family: str, n: int) -> KnotTableRow:
     raise UnknownRowError(f"no table entry for family {family!r}, n = {n}")
 
 
-def find_shared(census_name: str) -> CensusRow:
-    """First census row for the given name (K3_2 has two filling rows)."""
-    for row in _CENSUS_ROWS:
-        if row.census_name == census_name:
-            return row
-    raise UnknownRowError(census_name)
-
-
 def find_all_shared(census_name: str) -> list[CensusRow]:
-    return [r for r in _CENSUS_ROWS if r.census_name == census_name]
+    """Every census row for the given name (K3_2 has two filling rows)."""
+    rows = [r for r in _CENSUS_ROWS if r.census_name == census_name]
+    if not rows:
+        raise UnknownRowError(census_name)
+    return rows
+
+
+def find_shared(census_name: str) -> CensusRow:
+    """First census row for the given name."""
+    return find_all_shared(census_name)[0]
 
 
 def serialize_census() -> str:

@@ -16,7 +16,6 @@ from __future__ import annotations
 
 import argparse
 import json
-import os
 import sys
 from typing import Optional
 
@@ -42,6 +41,7 @@ from . import monodromy as monodromy_mod
 from . import acceptance
 from .quantum.roots import RootOfUnityContext
 from .quantum.jones import colored_jones
+from .quantum.oracles import colored_jones_rmatrix_oracle
 from .quantum.growth import (
     complement_sweep,
     default_levels,
@@ -166,9 +166,9 @@ def cmd_jones(args) -> int:
     knot = _knot_from_args(args)
     ctx = RootOfUnityContext(args.r)
     if args.method == "fusion":
-        value = colored_jones(knot, args.color, ctx, precision=args.precision)
+        value = colored_jones(knot, args.color, ctx)
     else:
-        value = colored_jones(knot, args.color, ctx, method=args.method)
+        value = colored_jones_rmatrix_oracle(knot, args.color, ctx)
     report = {
         "knot": str(knot),
         "color_dimension": args.color,
@@ -192,7 +192,7 @@ def cmd_tv(args) -> int:
     knot = _knot_from_args(args)
     levels = _levels_from_args(args)
     if args.slope is not None:
-        samples = surgery_sweep(knot, args.slope, levels, precision=args.precision)
+        samples = surgery_sweep(knot, args.slope, levels)
     else:
         samples = complement_sweep(knot, levels)
     if args.format == "json":
@@ -215,12 +215,7 @@ def cmd_tv(args) -> int:
 def cmd_ltv(args) -> int:
     knot = _knot_from_args(args)
     levels = _levels_from_args(args)
-    report = q_hyperbolicity_report(
-        knot,
-        slope=args.slope,
-        levels=levels,
-        tolerance=args.tolerance,
-    )
+    report = q_hyperbolicity_report(knot, slope=args.slope, levels=levels)
     if args.format == "csv":
         _emit(args, _sweep_csv(report.complement_samples))
     else:
@@ -320,8 +315,6 @@ def build_parser() -> argparse.ArgumentParser:
         description="verification toolkit for double twist knot surgeries "
         "and Turaev-Viro growth rates",
     )
-    parser.add_argument("--threads", type=int, default=None,
-                        help="worker processes per sweep (overrides QHYP_THREADS)")
     sub = parser.add_subparsers(dest="command", required=True)
 
     p = sub.add_parser("cfe", help="evaluate a continued fraction expansion")
@@ -347,9 +340,8 @@ def build_parser() -> argparse.ArgumentParser:
     _add_knot_options(p)
     p.add_argument("--color", type=int, required=True, help="color dimension N")
     p.add_argument("--r", type=int, required=True, help="odd level")
-    p.add_argument("--method", choices=("fusion", "rmatrix"), default="fusion")
-    p.add_argument("--precision", choices=("auto", "double", "extended"),
-                   default="auto")
+    p.add_argument("--method", choices=("fusion", "rmatrix"), default="fusion",
+                   help="production fusion engine or the vertex-model oracle")
     p.add_argument("--output", default=None)
     p.set_defaults(func=cmd_jones)
 
@@ -357,17 +349,12 @@ def build_parser() -> argparse.ArgumentParser:
     _add_knot_options(p)
     p.add_argument("--slope", type=_parse_slope, default=None,
                    help="fill along this slope; omit for the complement")
-    p.add_argument("--precision", choices=("auto", "double", "extended"),
-                   default="auto",
-                   help="surgery arithmetic; applies only to --slope fillings")
     _add_sweep_options(p)
     p.set_defaults(func=cmd_tv)
 
     p = sub.add_parser("ltv", help="growth estimate with census targets")
     _add_knot_options(p)
     p.add_argument("--slope", type=_parse_slope, default=None)
-    p.add_argument("--tolerance", type=float, default=0.05,
-                   help="allowed slack in the filling monotonicity check")
     _add_sweep_options(p)
     p.set_defaults(func=cmd_ltv)
 
@@ -410,8 +397,6 @@ def _join_negative_values(argv: list[str]) -> list[str]:
 def main(argv: Optional[list[str]] = None) -> int:
     parser = build_parser()
     args = parser.parse_args(_join_negative_values(list(sys.argv[1:] if argv is None else argv)))
-    if args.threads is not None:
-        os.environ["QHYP_THREADS"] = str(args.threads)
     try:
         return args.func(args)
     except (ValueError, KeyError, ArithmeticError) as exc:

@@ -13,8 +13,6 @@ the largest level is kept alongside as a conservative cross-check.
 
 from __future__ import annotations
 
-import os
-from concurrent.futures import ProcessPoolExecutor
 from dataclasses import dataclass, field
 from typing import Optional, Sequence
 
@@ -23,6 +21,10 @@ import numpy as np
 from ..rationals import Slope
 from ..twistknots import DoubleTwistKnot, fraction_of, NotTwoBridgeKnotError
 from .turaevviro import TVSample, tv_knot_complement, tv_surgery
+
+#: slack allowed when the complement's extrapolated growth is compared with
+#: a filling's (Dehn filling does not increase the growth rate)
+MONOTONICITY_TOLERANCE = 0.05
 
 
 @dataclass(frozen=True)
@@ -79,60 +81,18 @@ def default_levels(r_min: int = 51, r_max: int = 501, r_step: int = 50) -> list[
     return list(range(r_min, r_max + 1, r_step))
 
 
-def _worker_count() -> int:
-    """Worker processes per sweep, from QHYP_THREADS (default 1)."""
-    env = os.environ.get("QHYP_THREADS", "1")
-    try:
-        count = int(env)
-    except ValueError:
-        count = 0
-    if count < 1:
-        raise ValueError(f"QHYP_THREADS must be a positive integer, got {env!r}")
-    return count
-
-
-def _complement_one(args) -> TVSample:
-    (m, n), r = args
-    return tv_knot_complement(DoubleTwistKnot(m, n), r)
-
-
-def _surgery_one(args) -> TVSample:
-    (m, n), (p, q), r, precision = args
-    return tv_surgery(DoubleTwistKnot(m, n), Slope(p, q), r, precision=precision)
-
-
-def _run_sweep(worker, jobs) -> list[TVSample]:
-    count = _worker_count()
-    if count > 1 and len(jobs) > 1:
-        with ProcessPoolExecutor(max_workers=count) as pool:
-            samples = list(pool.map(worker, jobs))
-    else:
-        samples = [worker(j) for j in jobs]
-    return sorted(samples, key=lambda s: s.r)
-
-
 def complement_sweep(knot: DoubleTwistKnot, levels: Sequence[int]) -> list[TVSample]:
-    """TV samples of the knot complement over the given odd levels.
-
-    Levels may be computed in worker processes (QHYP_THREADS); results are
-    keyed and ordered by level, so reports are deterministic either way.
-    """
-    jobs = [((knot.m, knot.n), r) for r in sorted(set(levels))]
-    return _run_sweep(_complement_one, jobs)
+    """TV samples of the knot complement, one per distinct level, in
+    increasing order of level."""
+    return [tv_knot_complement(knot, r) for r in sorted(set(levels))]
 
 
 def surgery_sweep(
-    knot: DoubleTwistKnot,
-    slope: Slope,
-    levels: Sequence[int],
-    precision: str = "auto",
+    knot: DoubleTwistKnot, slope: Slope, levels: Sequence[int]
 ) -> list[TVSample]:
-    """TV samples of the filled manifold over the given odd levels."""
-    jobs = [
-        ((knot.m, knot.n), (slope.numerator, slope.denominator), r, precision)
-        for r in sorted(set(levels))
-    ]
-    return _run_sweep(_surgery_one, jobs)
+    """TV samples of the filled manifold, one per distinct level, in
+    increasing order of level."""
+    return [tv_surgery(knot, slope, r) for r in sorted(set(levels))]
 
 
 @dataclass(frozen=True)
@@ -206,15 +166,14 @@ def q_hyperbolicity_report(
     knot: DoubleTwistKnot,
     slope: Optional[Slope] = None,
     levels: Optional[Sequence[int]] = None,
-    filling_levels: Optional[Sequence[int]] = None,
-    tolerance: float = 0.05,
 ) -> QHyperbolicityReport:
     """Sweep the complement (and optionally a filling) and compare growth.
 
     The filling comparison checks the Dehn-filling monotonicity property:
     the complement's extrapolated growth must be at least the filling's
-    minus the tolerance.  Census volumes are attached when the knot is one
-    of the tabulated twist knots.
+    minus MONOTONICITY_TOLERANCE.  Both sweeps run over the same levels.
+    Census volumes are attached when the knot is one of the tabulated twist
+    knots.
     """
     try:
         fraction_of(knot)
@@ -228,11 +187,10 @@ def q_hyperbolicity_report(
     mono_ok = None
     mono_margin = None
     if slope is not None:
-        fill_levels = list(filling_levels) if filling_levels else levels
-        fill_samples = surgery_sweep(knot, slope, fill_levels)
+        fill_samples = surgery_sweep(knot, slope, levels)
         fill_est = ltv_estimate(fill_samples)
         mono_margin = comp_est.extrapolated - fill_est.extrapolated
-        mono_ok = mono_margin >= -tolerance
+        mono_ok = mono_margin >= -MONOTONICITY_TOLERANCE
     census_name = None
     vol_comp = None
     vol_fill = None
@@ -268,6 +226,7 @@ def q_hyperbolicity_report(
 
 
 __all__ = [
+    "MONOTONICITY_TOLERANCE",
     "GrowthEstimate",
     "InsufficientDataError",
     "ltv_estimate",

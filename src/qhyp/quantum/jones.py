@@ -113,21 +113,15 @@ def _fusion_log_double(knot: DoubleTwistKnot, color: int, r: int) -> LogComplex:
     return LogComplex(log_abs, complex(phase), condition)
 
 
-def _fusion_log(
-    knot: DoubleTwistKnot, color: int, r: int, precision: str = "auto"
-) -> LogComplex:
+def _fusion_log(knot: DoubleTwistKnot, color: int, r: int) -> LogComplex:
     """Fusion evaluation with automatic escalation to extended precision."""
     _require_knot_color(knot, color, r)
-    if precision not in ("auto", "double", "extended"):
-        raise ValueError(f"unknown precision mode {precision!r}")
-    if precision != "extended":
-        fast = _fusion_log_double(knot, color, r)
-        if precision == "double" or fast.condition <= CONDITION_LIMIT:
-            return fast
-        condition = fast.condition
-    else:
-        condition = math.inf
-    return _escalate(condition, lambda dps: fusion_value_mp(knot, color, r, dps), "mp")
+    fast = _fusion_log_double(knot, color, r)
+    if fast.condition <= CONDITION_LIMIT:
+        return fast
+    return _escalate(
+        fast.condition, lambda dps: fusion_value_mp(knot, color, r, dps), "mp"
+    )
 
 
 def _escalate(condition: float, evaluate, label: str) -> LogComplex:
@@ -192,34 +186,20 @@ def figure_eight_log(N: int, r: int) -> LogComplex:
     )
 
 
-def colored_jones(
-    knot: DoubleTwistKnot,
-    N: int,
-    ctx: RootOfUnityContext,
-    method: str = "fusion",
-    precision: str = "auto",
-) -> complex:
+def colored_jones(knot: DoubleTwistKnot, N: int, ctx: RootOfUnityContext) -> complex:
     """Normalized N-colored Jones value J'_N at t = q^2, J'_N(unknot) = 1.
 
     N is the dimension of the strand color (N = 2 is the Jones polynomial);
-    colors exist for N - 1 <= r - 2.  method "fusion" is the production
-    evaluator; "rmatrix" dispatches to the quantum-group vertex oracle
-    (bounded size).  Two-component links are rejected.
+    colors exist for N - 1 <= r - 2.  The fusion engine evaluates it, in
+    doubles or, past CONDITION_LIMIT, under mpmath.  Two-component links are
+    rejected.
     """
     if N < 1:
         raise ValueError("the color dimension N must be a positive integer")
-    if method == "rmatrix":
-        from .oracles import colored_jones_rmatrix_oracle
-
-        return colored_jones_rmatrix_oracle(knot, N, ctx)
-    if method != "fusion":
-        raise ValueError(f"unknown method {method!r}")
-    return _fusion_log(knot, N - 1, ctx.r, precision).to_complex()
+    return _fusion_log(knot, N - 1, ctx.r).to_complex()
 
 
-def jones_log_all_colors(
-    knot: DoubleTwistKnot, r: int, colors, precision: str = "auto"
-) -> list[LogComplex]:
+def jones_log_all_colors(knot: DoubleTwistKnot, r: int, colors) -> list[LogComplex]:
     """Values for a sequence of strand colors at level r.
 
     The figure-eight knot is routed through its expansion; other
@@ -227,7 +207,7 @@ def jones_log_all_colors(
     """
     if knot.canonical_pair() == _FIG8_PAIR:
         return [figure_eight_log(int(a) + 1, r) for a in colors]
-    return [_fusion_log(knot, int(a), r, precision) for a in colors]
+    return [_fusion_log(knot, int(a), r) for a in colors]
 
 
 def figure_eight_cross_sum_mp(N: int, r: int, dps: int):

@@ -117,28 +117,21 @@ def _gauss_magnitude(r: int) -> float:
     return float(math.sqrt(eta_squared(r)) * abs(np.sum(vals)))
 
 
-def tv_surgery(
-    knot: DoubleTwistKnot,
-    slope: Slope,
-    r: int,
-    precision: str = "auto",
-) -> TVSample:
+def tv_surgery(knot: DoubleTwistKnot, slope: Slope, r: int) -> TVSample:
     """TV of the surgered manifold M_K(p/q) at level r, as |RT|^2.
 
-    precision "double" forces the fast path, "extended" forces mpmath, and
-    "auto" (default) runs doubles first and escalates when the cancellation
-    ratio crosses CONDITION_LIMIT.  The double pass runs in every mode: its
-    Jones magnitudes size the mpmath digits.
+    The sum runs in doubles first and is redone under mpmath when its
+    measured cancellation ratio crosses CONDITION_LIMIT; the double pass's
+    Jones magnitudes size the mpmath digits.  The sample's precision field
+    says which arithmetic produced it.
     """
     if r < 5 or r % 2 == 0:
         raise ValueError("the level r must be odd and at least 5")
     if slope is INFINITY:
         raise ValueError("the infinite slope gives back the three-sphere")
-    if precision not in ("auto", "double", "extended"):
-        raise ValueError(f"unknown precision mode {precision!r}")
     chain = minus_cfe(slope)
     sample, scale = _surgery_double(knot, slope, chain, r)
-    if precision == "double" or (precision == "auto" and not sample.flagged):
+    if not sample.flagged:
         return sample
     return _tv_surgery_mp(knot, slope, chain, r, scale)
 

@@ -81,3 +81,27 @@ def test_benchmark_slope_and_cfe_contract():
     for g in (1, 2, 7, 200):
         value = rationals.cfe_eval(rationals.alternating_cfe(g))
         assert value == ExactRational(2 * g, 6 * g - 1)
+
+
+def test_report_looks_up_its_sweeps_in_growth(monkeypatch):
+    # perfbench/workloads.py times each sample and fit of an ltv report by
+    # patching these three names on the growth module
+    from collections import Counter
+
+    from qhyp.quantum import growth
+    from qhyp.rationals import ExactRational
+    from qhyp.twistknots import DoubleTwistKnot
+
+    calls = Counter()
+    for name in ("tv_knot_complement", "tv_surgery", "ltv_estimate"):
+        original = getattr(growth, name)
+
+        def counted(*args, _name=name, _original=original, **kwargs):
+            calls[_name] += 1
+            return _original(*args, **kwargs)
+
+        monkeypatch.setattr(growth, name, counted)
+    growth.q_hyperbolicity_report(
+        DoubleTwistKnot(2, -2), ExactRational(5), levels=(11, 21, 31, 41)
+    )
+    assert calls == {"tv_knot_complement": 4, "tv_surgery": 4, "ltv_estimate": 2}

@@ -44,6 +44,8 @@ def test_find_shared():
     assert len(census.find_all_shared("K3_2")) == 2
     with pytest.raises(census.UnknownRowError):
         census.find_shared("K1_1")
+    with pytest.raises(census.UnknownRowError):
+        census.find_all_shared("K1_1")
 
 
 def test_no_filling_row():

@@ -87,33 +87,39 @@ def test_census_row(capsys):
     assert blob[0]["tetrahedra"] == 5
 
 
+def test_census_unknown_row_fails(capsys):
+    code = main(["census", "--row", "K99_1"])
+    captured = capsys.readouterr()
+    assert code == 1
+    assert captured.out == ""
+    assert "K99_1" in captured.err
+
+
 def test_census_bounds(capsys):
     code, out = run_cli(capsys, "census", "--check-bounds")
     assert code == 0
     assert "62/62 rows pass" in out
 
 
+LEVELS = ("--r-min", "11", "--r-max", "17", "--r-step", "2")  # quick if accepted
+
+
 @pytest.mark.parametrize(
     "argv",
     [
-        ("tv", "--knot", "2,-2", "--format", "text"),
-        ("ltv", "--knot", "2,-2", "--format", "text"),
-        ("ltv", "--knot", "2,-3", "--slope", "5", "--precision", "extended"),
+        ("tv", "--knot", "2,-2", "--format", "text") + LEVELS,
+        ("ltv", "--knot", "2,-2", "--format", "text") + LEVELS,
+        ("ltv", "--knot", "2,-3", "--slope", "5", "--precision", "extended") + LEVELS,
+        ("tv", "--knot", "2,-2", "--slope", "5", "--precision", "double") + LEVELS,
+        ("jones", "--knot", "2,2", "--color", "23", "--r", "61", "--precision", "extended"),
+        ("--threads", "2", "tv", "--knot", "2,-2") + LEVELS,
+        ("ltv", "--knot", "2,-2", "--tolerance", "1") + LEVELS,
     ],
 )
 def test_removed_options_are_usage_errors(argv):
-    levels = ("--r-min", "11", "--r-max", "17", "--r-step", "2")  # quick if accepted
     with pytest.raises(SystemExit) as err:
-        main(list(argv + levels))
+        main(list(argv))
     assert err.value.code == 2
-
-
-@pytest.mark.parametrize("value", ["abc", "-3", "0"])
-def test_bad_worker_count_fails(capsys, monkeypatch, value):
-    monkeypatch.setenv("QHYP_THREADS", value)
-    code = main(["tv", "--knot", "2,-2", "--r-min", "5", "--r-max", "9"])
-    assert code == 1
-    assert "QHYP_THREADS" in capsys.readouterr().err
 
 
 def test_usage_error_exit_code():

@@ -8,6 +8,7 @@ from qhyp.quantum.diagram import component_count, region_twists, writhe
 from qhyp.quantum.jones import (
     CONDITION_LIMIT,
     _fusion_log,
+    _fusion_log_double,
     _mp_level,
     colored_jones,
     figure_eight_cross_sum_mp,
@@ -134,7 +135,7 @@ def test_mp_twins_match_double():
     # where the tetrahedral sums are clipped at s = r - 2
     for knot in (DoubleTwistKnot(2, -3), DoubleTwistKnot(-4, -3)):
         for color in range(40):
-            double = _fusion_log(knot, color, 41, "double")
+            double = _fusion_log_double(knot, color, 41)
             if double.condition > CONDITION_LIMIT:
                 continue
             a = complex(fusion_value_mp(knot, color, 41, 40))

@@ -9,6 +9,7 @@ from qhyp.quantum import jones, turaevviro
 from qhyp.quantum.turaevviro import (
     TVSample,
     _surgery_double,
+    _tv_surgery_mp,
     eta_squared,
     tv_knot_complement,
     tv_surgery,
@@ -93,12 +94,11 @@ def test_precision_modes_agree():
         (FIG8, ExactRational(-7, 2), 31),
         (DoubleTwistKnot(2, -3), ExactRational(9), 21),
     ):
-        sample_d = tv_surgery(knot, slope, r, precision="double")
-        sample_x = tv_surgery(knot, slope, r, precision="extended")
+        chain = minus_cfe(slope)
+        sample_d, scale = _surgery_double(knot, slope, chain, r)
+        sample_x = _tv_surgery_mp(knot, slope, chain, r, scale)
         assert sample_d.tv == pytest.approx(sample_x.tv, rel=1e-11), (knot, slope, r)
         assert sample_x.precision.startswith("mp")
-    with pytest.raises(ValueError):
-        tv_surgery(FIG8, ExactRational(5), 31, precision="quad")
 
 
 def test_flagged_exceptional_filling_escalates(monkeypatch):
@@ -124,9 +124,12 @@ def test_flagged_exceptional_filling_escalates(monkeypatch):
 
 def test_escalated_condition_is_measured_in_mpmath():
     # the double pass's ratio is rounding noise at this depth; the mpmath
-    # pass measures its own, so both modes report the same condition
-    auto = tv_surgery(FIG8, ExactRational(1), 151)
-    extended = tv_surgery(FIG8, ExactRational(1), 151, precision="extended")
+    # pass measures its own, so forcing the mpmath pass gives the same condition
+    slope = ExactRational(1)
+    chain = minus_cfe(slope)
+    auto = tv_surgery(FIG8, slope, 151)
+    scale = _surgery_double(FIG8, slope, chain, 151)[1]
+    extended = _tv_surgery_mp(FIG8, slope, chain, 151, scale)
     assert auto.precision == extended.precision == "mp47"
     assert auto.tv == extended.tv
     assert extended.condition == pytest.approx(auto.condition, rel=1e-9)
