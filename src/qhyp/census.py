@@ -154,7 +154,7 @@ def find_all_shared(census_name: str) -> list[CensusRow]:
     """Every census row for the given name (K3_2 has two filling rows)."""
     rows = [r for r in _CENSUS_ROWS if r.census_name == census_name]
     if not rows:
-        raise UnknownRowError(census_name)
+        raise UnknownRowError(f"no census row named {census_name!r}")
     return rows
 
 

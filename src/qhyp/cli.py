@@ -400,7 +400,9 @@ def main(argv: Optional[list[str]] = None) -> int:
     try:
         return args.func(args)
     except (ValueError, KeyError, ArithmeticError) as exc:
-        print(f"error: {exc}", file=sys.stderr)
+        # str() of a KeyError is the repr of its message
+        message = exc.args[0] if isinstance(exc, KeyError) and exc.args else exc
+        print(f"error: {message}", file=sys.stderr)
         return 1
 
 

@@ -17,8 +17,9 @@ The figure-eight knot has a classical expansion whose terms are products of
 bounded sine factors, one loop in either arithmetic (_figure_eight_sum); it
 doubles as an independent cross-check of the fusion engine and as the fast
 path for the figure-eight level sweeps.  Both evaluators escalate through
-one helper (_escalate), and every mpmath path reads its roots of unity from
-one table per (level, digits), _mp_level(r, dps).
+one helper (_escalate), and every path reads its roots of unity from one
+level table per arithmetic: recoupling_level(r) in doubles, _mp_level(r, dps)
+under mpmath.
 """
 
 from __future__ import annotations
@@ -94,8 +95,8 @@ def _fusion_log_double(knot: DoubleTwistKnot, color: int, r: int) -> LogComplex:
     sign_coef = sign_loop * sign_theta
     log_tet, sign_tet = level.tet_grid(a)
     x, y = region_twists(knot.m, knot.n)
-    phase_c = level.half_twist_phase(a, cs) ** x
-    phase_d = level.half_twist_phase(a, cs) ** y
+    twist = level.half_twist_phase(a, cs)
+    phase_c, phase_d = twist**x, twist**y
     log_grid = log_coef[:, None] + log_coef[None, :] + log_tet
     sign_grid = sign_coef[:, None] * sign_coef[None, :] * sign_tet
     peak = float(np.max(log_grid))
@@ -105,7 +106,7 @@ def _fusion_log_double(knot: DoubleTwistKnot, color: int, r: int) -> LogComplex:
     condition = magnitude_sum / abs(total) if total != 0 else math.inf
     log_norm, sign_norm = level.loop_value(np.array([a]))
     w = _writhe_cached(knot.m, knot.n)
-    frame = level.framing_twist(a) ** (-w)
+    frame = level.framing(a) ** (-w)
     if total == 0:
         return LogComplex(-math.inf, 1.0 + 0j, condition)
     log_abs = peak + math.log(abs(total)) - float(log_norm[0])
@@ -156,18 +157,6 @@ def _figure_eight_sum(N: int, braces, one):
     return total, peak
 
 
-def _braces(N: int, ctx: RootOfUnityContext) -> list[complex]:
-    """{x} = t^(x/2) - t^(-x/2) in doubles, for x < 2N.
-
-    {r} is exactly 0; computed, it would come out near 1e-16 and the later
-    factors of the expansion would amplify it unseen.
-    """
-    return [
-        ctx.t_half_power(x) - ctx.t_half_power(-x) if x != ctx.r else 0j
-        for x in range(2 * N)
-    ]
-
-
 def figure_eight_log(N: int, r: int) -> LogComplex:
     """Figure-eight evaluation at any color dimension N <= r - 1.
 
@@ -176,8 +165,9 @@ def figure_eight_log(N: int, r: int) -> LogComplex:
     1707 of the (N, r) pairs with N <= (r - 1)/2 and odd r <= 201 escalate,
     the first at N = 13, r = 57.  Such spots are detected through the same
     cancellation ratio used by the fusion engine and recomputed under mpmath.
+    The braces, exact zeros included, come from recoupling_level(r).
     """
-    total, peak = _figure_eight_sum(N, _braces(N, RootOfUnityContext(r)), 1.0 + 0.0j)
+    total, peak = _figure_eight_sum(N, recoupling_level(r).braces, 1.0 + 0.0j)
     condition = peak / abs(total) if total != 0 else math.inf
     if condition <= CONDITION_LIMIT:
         return LogComplex.from_complex(total, condition, "fig8-sum")

@@ -30,15 +30,16 @@ class RecouplingLevel:
         if r < 3 or r % 2 == 0:
             raise ValueError("level r must be odd and at least 3")
         self.r = r
-        kmax = 2 * r + 2
-        k = np.arange(kmax + 1)
-        vals = np.sin(2 * np.pi * k / r) / np.sin(2 * np.pi / r)
-        self.sign_int = np.sign(np.round(vals, 14)).astype(int)
-        self.sign_int[k % r == 0] = 0
+        k = np.arange(2 * r + 3)
+        sines = np.where(k % r == 0, 0.0, np.sin(2 * np.pi * k / r))
+        #: signed [k] for k <= 2r + 2, exactly 0 at multiples of r
+        self.qint = sines / sines[1]
+        #: {k} = t^(k/2) - t^(-k/2) = 2i sin(2 pi / r) [k], for the
+        #: figure-eight expansion; exactly 0 at multiples of r
+        self.braces = (2j * sines).tolist()
+        self.sign_int = np.sign(self.qint).astype(int)
         with np.errstate(divide="ignore"):
-            self.log_int = np.where(
-                self.sign_int == 0, -np.inf, np.log(np.abs(vals))
-            )
+            self.log_int = np.log(np.abs(self.qint))
         # factorial tables; index k holds [k]!
         self.log_fac = np.concatenate([[0.0], np.cumsum(self.log_int[1:])])
         self.sign_fac = np.concatenate([[1], np.cumprod(self.sign_int[1:])]).astype(
@@ -151,7 +152,7 @@ class RecouplingLevel:
         angle = np.pi * ((a - c // 2) - (c * (c + 2) / 2 - a * (a + 2)) / self.r)
         return np.exp(1j * angle)
 
-    def framing_twist(self, a: int) -> complex:
+    def framing(self, a: int) -> complex:
         """Curl factor of an a-colored strand: (-1)^a A^(a(a+2))."""
         return complex(np.exp(1j * np.pi * (a - a * (a + 2) / self.r)))
 

@@ -34,9 +34,5 @@ class RootOfUnityContext:
         """The bracket variable A with A^(-4) = t = q^2."""
         return cmath.exp(-1j * cmath.pi / self.r)
 
-    def t_half_power(self, k: int) -> complex:
-        """t^(k/2) = q^k, half-integer powers taken through q."""
-        return cmath.exp(2j * cmath.pi * k / self.r)
-
 
 __all__ = ["RootOfUnityContext"]

@@ -12,16 +12,19 @@ p/q = a_1 - 1/(a_2 - ...), each chain component is summed over the level's
 even colors with loop-value weights, consecutive components are paired
 through the modular S matrix, framings enter as ribbon twist powers, and the
 knot component contributes its unreduced colored Jones values.  The result
-is normalized by Gauss sums so the three-sphere gets eta^2, making the
-complement and surgery scales directly comparable.
+is divided once per unit of linking-matrix rank by the normalized Gauss sum,
+whose modulus is exactly 1/sqrt(2), so the three-sphere gets eta^2, making
+the complement and surgery scales directly comparable.
 
 This alternating sum does cancel, catastrophically so for non-hyperbolic
 fillings, where the true value is polynomially small against exponentially
 large terms.  Each evaluation therefore tracks the cancellation ratio
 sum |terms| / |sum|; when it exceeds CONDITION_LIMIT the level/slope pair is
 flagged and recomputed under mpmath with enough digits to cover the
-cancellation plus a safety margin, from the same cached level table
-(jones._mp_level) that the Jones evaluators use at those digits.
+cancellation plus a safety margin.  Both passes run one state sum
+(_state_sum) over a level table: recoupling_level(r) in doubles, and under
+mpmath the cached jones._mp_level that the Jones evaluators use at those
+digits.
 """
 
 from __future__ import annotations
@@ -64,7 +67,8 @@ def tv_knot_complement(knot: DoubleTwistKnot, r: int) -> TVSample:
     """TV of the knot complement at level r (odd, at least 5).
 
     eta^2 times the sum of |J'_N|^2 over N = 1 .. (r-1)/2, assembled in log
-    space; the sum has only non-negative terms.
+    space; the sum has only non-negative terms.  The sample carries the
+    condition and precision of its color with the largest cancellation ratio.
     """
     if r < 5 or r % 2 == 0:
         raise ValueError("the level r must be odd and at least 5")
@@ -76,7 +80,10 @@ def tv_knot_complement(knot: DoubleTwistKnot, r: int) -> TVSample:
         raise ArithmeticError("all colored Jones values vanished")
     total = float(np.sum(np.exp(log_sq - peak)))
     log_tv = math.log(eta_squared(r)) + peak + math.log(total)
-    return TVSample(r=r, tv=_safe_exp(log_tv), logslope=(2 * math.pi / r) * log_tv)
+    worst = max(logs, key=lambda v: v.condition)
+    return TVSample(
+        r, _safe_exp(log_tv), (2 * math.pi / r) * log_tv, worst.condition, worst.precision
+    )
 
 
 def _safe_exp(x: float) -> float:
@@ -90,31 +97,6 @@ def _chain_rank(chain: list[int], slope: Slope) -> int:
     off-diagonal ones make a kernel of dimension at most one.
     """
     return len(chain) - (1 if slope.numerator == 0 else 0)
-
-
-def _modular_s(r: int) -> np.ndarray:
-    """Unnormalized S pairing on the even colors: [(b+1)(c+1)].
-
-    The sign (-1)^(b+c) of the general pairing is 1 on even colors.
-    """
-    colors = np.arange(0, r - 2, 2)
-    prod = np.outer(colors + 1, colors + 1)
-    return np.sin(2 * np.pi * prod / r) / np.sin(2 * np.pi / r)
-
-
-def _gauss_magnitude(r: int) -> float:
-    """|eta * sum_c loop(c)^2 twist(c)| over the even colors.
-
-    This is the magnitude of the normalized Gauss sum dividing the state
-    sum once per unit of linking-matrix rank; both signs of framing give
-    the same magnitude (conjugate sums).
-    """
-    level = recoupling_level(r)
-    colors = np.arange(0, r - 2, 2)
-    log_loop, sign_loop = level.loop_value(colors)
-    twists = np.array([level.framing_twist(int(c)) for c in colors])
-    vals = (sign_loop * np.exp(log_loop)) ** 2 * twists
-    return float(math.sqrt(eta_squared(r)) * abs(np.sum(vals)))
 
 
 def tv_surgery(knot: DoubleTwistKnot, slope: Slope, r: int) -> TVSample:
@@ -136,15 +118,34 @@ def tv_surgery(knot: DoubleTwistKnot, slope: Slope, r: int) -> TVSample:
     return _tv_surgery_mp(knot, slope, chain, r, scale)
 
 
-def _contract(smat, twists, w, vec, chain):
-    """Pair the knot vector with the chain, in the arrays' own arithmetic.
+def _state_sum(level, jones, chain: list[int]):
+    """The chain contraction and its absolute-value bound, in the level's
+    arithmetic (recoupling_level(r) in doubles, _mp_level(r, dps) in mpmath).
 
+    jones holds J'(b) on the even colors b.  S pairs b and c through
+    [(b+1)(c+1)], with [k] of period r; the sign (-1)^(b+c) of the general
+    pairing is 1 on even colors, and column 0 of S holds the loop values.
     w starts as S e_0; each inner chain component a maps w to S (T^a w), and
-    the outermost one pairs T^a w with vec.
+    the outermost one pairs T^a w with the unreduced values loop(b) J'(b).
     """
-    for a in reversed(chain[1:]):
-        w = smat @ (twists**a * w)
-    return np.sum(vec * twists ** chain[0] * w)
+    r = level.r
+    dims = np.arange(1, r - 1, 2)
+    qint = np.asarray(level.qint)
+    entries = np.outer(dims, dims) % r
+    loops = qint[dims]
+    twists = np.array([level.framing(b) for b in range(0, r - 2, 2)])
+
+    def contract(smat, twists, w, vec):
+        for a in reversed(chain[1:]):
+            w = smat @ (twists**a * w)
+        return np.sum(vec * twists ** chain[0] * w)
+
+    vec = loops * jones
+    z = contract(qint[entries], twists, loops, vec)
+    z_abs = contract(
+        np.abs(qint)[entries], np.ones(len(dims)), np.abs(loops), np.abs(vec)
+    )
+    return z, z_abs
 
 
 def _surgery_double(
@@ -153,38 +154,29 @@ def _surgery_double(
     """The double-precision sample, and the log of the largest unreduced
     Jones magnitude, which sets the digits of the mpmath pass."""
     level = recoupling_level(r)
-    colors = np.arange(0, r - 2, 2)
-    jlogs = jones_log_all_colors(knot, r, colors)
-    log_loop, sign_loop = level.loop_value(colors)
-    # unreduced values loop(b) * J'(b), scaled by the largest magnitude
-    log_unred = np.array([v.log_abs for v in jlogs]) + log_loop
-    scale = float(np.max(log_unred))
-    vec = np.array(
-        [
-            v.phase * s * np.exp(lu - scale)
-            for v, s, lu in zip(jlogs, sign_loop, log_unred)
-        ]
-    )
-    twists = np.array([level.framing_twist(int(c)) for c in colors])
-    smat = _modular_s(r)
-    w = sign_loop * np.exp(log_loop)  # S e_0
-    z = complex(_contract(smat, twists, w, vec, chain))
-    ones = np.ones(len(colors))
-    z_abs = float(_contract(np.abs(smat), ones, np.abs(w), np.abs(vec), chain))
-    condition = z_abs / abs(z) if z != 0 else math.inf
-    log_z = scale + (math.log(abs(z)) if z != 0 else -math.inf)
-    return _assemble_sample(slope, chain, r, log_z, condition, "double"), scale
+    jlogs = jones_log_all_colors(knot, r, range(0, r - 2, 2))
+    log_abs = np.array([v.log_abs for v in jlogs])
+    # the Jones vector scaled by the largest |loop(b) J'(b)|
+    scale = float(np.max(log_abs + level.log_int[1 : r - 1 : 2]))
+    jones = np.array([v.phase for v in jlogs]) * np.exp(log_abs - scale)
+    z, z_abs = _state_sum(level, jones, chain)
+    return _assemble_sample(slope, chain, r, scale, z, z_abs, "double"), scale
 
 
 def _assemble_sample(
-    slope: Slope, chain: list[int], r: int, log_z: float, condition: float, mode: str
+    slope: Slope, chain: list[int], r: int, log_scale: float, z, z_abs, mode: str
 ) -> TVSample:
-    components = len(chain)
-    rank = _chain_rank(chain, slope)
+    """The sample from the state sum z = e^(-log_scale) RT and its bound.
+
+    The normalized Gauss sum dividing RT once per unit of linking-matrix
+    rank has modulus exactly 1/sqrt(2) at every odd level.
+    """
+    condition = float(z_abs / abs(z)) if z != 0 else math.inf
+    log_z = log_scale + float(mp.log(abs(z))) if z != 0 else -math.inf
     log_tv = (
-        (components + 1) * math.log(eta_squared(r))
+        (len(chain) + 1) * math.log(eta_squared(r))
         + 2 * log_z
-        - 2 * rank * math.log(_gauss_magnitude(r))
+        + _chain_rank(chain, slope) * math.log(2.0)
     )
     return TVSample(
         r=r,
@@ -205,31 +197,17 @@ def _tv_surgery_mp(
     """Extended-precision surgery sum; digits scale with the cancellation.
 
     scale is the double pass's log of the largest unreduced Jones magnitude.
-    Loop values, twists and S entries come from the shared level table
-    _mp_level(r, dps), which the figure-eight Jones values read too.  The
-    condition is the cancellation ratio of this sum, as in doubles.
+    The state sum reads the shared level table _mp_level(r, dps), which the
+    figure-eight Jones values read too.  The condition is the cancellation
+    ratio of this sum, as in doubles.
     """
-    colors = range(0, r - 2, 2)
     chain_growth = (len(chain) + 1) * math.log10(max(r, 2))
     dps = int(max(30, scale / math.log(10.0) + chain_growth + 30))
     level = _mp_level(r, dps)
     with mp.workdps(dps):
-        jones = np.array([jones_value_mp(knot, a, r, dps) for a in colors])
-        loops = np.array([level.loop(a) for a in colors])
-        twists = np.array([level.framing(a) for a in colors])
-        # S entries are [(b+1)(c+1)], and [k] has period r
-        dims = np.array(colors) + 1
-        qint = np.array(level.qint, dtype=object)
-        entries = np.outer(dims, dims) % r
-        vec = loops * jones
-        z = _contract(qint[entries], twists, loops, vec, chain)
-        ones = np.ones(len(colors))
-        z_abs = _contract(
-            np.abs(qint)[entries], ones, np.abs(loops), np.abs(vec), chain
-        )
-        condition = float(z_abs / abs(z)) if z != 0 else math.inf
-        log_z = float(mp.log(abs(z))) if z != 0 else -math.inf
-    return _assemble_sample(slope, chain, r, log_z, condition, f"mp{dps}")
+        jones = np.array([jones_value_mp(knot, a, r, dps) for a in range(0, r - 2, 2)])
+        z, z_abs = _state_sum(level, jones, chain)
+        return _assemble_sample(slope, chain, r, 0.0, z, z_abs, f"mp{dps}")
 
 
 __all__ = [

@@ -92,7 +92,7 @@ def test_census_unknown_row_fails(capsys):
     captured = capsys.readouterr()
     assert code == 1
     assert captured.out == ""
-    assert "K99_1" in captured.err
+    assert captured.err == "error: no census row named 'K99_1'\n"
 
 
 def test_census_bounds(capsys):

@@ -7,6 +7,7 @@ import pytest
 from qhyp.quantum.diagram import component_count, region_twists, writhe
 from qhyp.quantum.jones import (
     CONDITION_LIMIT,
+    _figure_eight_sum,
     _fusion_log,
     _fusion_log_double,
     _mp_level,
@@ -20,6 +21,7 @@ from qhyp.quantum.oracles import (
     colored_jones_kauffman_oracle,
     colored_jones_rmatrix_oracle,
 )
+from qhyp.quantum.recoupling import recoupling_level
 from qhyp.quantum.roots import RootOfUnityContext
 from qhyp.twistknots import DoubleTwistKnot, mirror
 
@@ -218,6 +220,34 @@ def test_figure_eight_log_past_half_level():
             a = complex(figure_eight_cross_sum_mp(N, r, 80))
             b = figure_eight_log(N, r).to_complex()
             assert abs(a - b) <= 1e-10 * max(1.0, abs(a)), (N, r)
+
+
+def test_level_braces_match_the_mp_level():
+    # the double table's {k} against the mpmath level's, exact zeros at r | k
+    for r in (5, 57, 201):
+        double = recoupling_level(r).braces
+        extended = _mp_level(r, 40).braces
+        assert len(double) == len(extended) == 2 * r + 3
+        for k, (d, x) in enumerate(zip(double, extended)):
+            if k % r == 0:
+                assert d == 0 and x == 0, (r, k)
+            else:
+                assert abs(d - complex(x)) <= 1e-13, (r, k)
+
+
+def test_figure_eight_escalation_set():
+    # the double sums alone, without escalating: the count and first pair
+    # that figure_eight_log's docstring states
+    flagged = []
+    for r in range(3, 202, 2):
+        braces = recoupling_level(r).braces
+        for N in range(1, (r - 1) // 2 + 1):
+            total, peak = _figure_eight_sum(N, braces, 1.0 + 0.0j)
+            condition = peak / abs(total) if total != 0 else math.inf
+            if condition > CONDITION_LIMIT:
+                flagged.append((N, r))
+    assert len(flagged) == 1707
+    assert flagged[0] == (13, 57)
 
 
 def test_escalation_dps_rule():

@@ -1,11 +1,13 @@
 import math
 import random
 
+import mpmath as mp
 import pytest
 
 from qhyp.rationals import ExactRational, evaluate_minus_cfe, minus_cfe
 from qhyp.twistknots import DoubleTwistKnot, mirror
 from qhyp.quantum import jones, turaevviro
+from qhyp.quantum.recoupling import recoupling_level
 from qhyp.quantum.turaevviro import (
     TVSample,
     _surgery_double,
@@ -31,6 +33,35 @@ def test_complement_basics():
         tv_knot_complement(FIG8, 6)
     with pytest.raises(ValueError):
         tv_surgery(FIG8, ExactRational(1, 0), 7)
+
+
+def test_complement_reports_its_worst_color():
+    # 5_2 escalates colors at r = 61; the figure-eight sum at r = 21 does not
+    sample = tv_knot_complement(DoubleTwistKnot(2, -3), 61)
+    assert sample.precision == "mp35"
+    assert sample.condition > jones.CONDITION_LIMIT
+    sample = tv_knot_complement(FIG8, 21)
+    assert "mp" not in sample.precision
+    assert sample.condition <= jones.CONDITION_LIMIT
+
+
+def test_normalized_gauss_sum_has_modulus_one_over_root_two():
+    # eta |sum over even c of [c+1]^2 theta_c|, summed explicitly, against
+    # the constant the state sum divides by once per unit of rank
+    for r in (3, 5, 7, 51, 151, 501):
+        level = recoupling_level(r)
+        colors = range(0, r - 2, 2)
+        total = sum(level.qint[c + 1] ** 2 * level.framing(c) for c in colors)
+        assert math.sqrt(eta_squared(r)) * abs(total) == pytest.approx(
+            math.sqrt(0.5), abs=1e-11
+        ), r
+    r, dps = 101, 50
+    level = jones._mp_level(r, dps)
+    with mp.workdps(dps):
+        colors = range(0, r - 2, 2)
+        total = mp.fsum(level.qint[c + 1] ** 2 * level.framing(c) for c in colors)
+        eta = mp.sqrt(mp.mpf(2) / r) * mp.sin(2 * mp.pi / r)
+        assert abs(eta * abs(total) - 1 / mp.sqrt(2)) <= mp.mpf("1e-45")
 
 
 def test_complement_mirror_invariance():
