@@ -18,6 +18,7 @@ from typing import Optional, Sequence
 
 import numpy as np
 
+from .. import census
 from ..rationals import Slope
 from ..twistknots import DoubleTwistKnot, fraction_of, NotTwoBridgeKnotError
 from .turaevviro import TVSample, tv_knot_complement, tv_surgery
@@ -196,20 +197,22 @@ def q_hyperbolicity_report(
     vol_fill = None
     membership = identify_family(knot)
     if membership is not None:
-        from .. import census as census_mod
-
         try:
-            rolfsen = census_mod.lookup(*membership).rolfsen_name
-        except census_mod.UnknownRowError:
+            rolfsen = census.lookup(*membership).rolfsen_name
+        except census.UnknownRowError:
             rolfsen = None
-        if rolfsen:
-            for row in census_mod.census_rows():
-                if row.knot_name == rolfsen:
-                    census_name = row.census_name
-                    vol_comp = row.vol_complement
-                    if slope is not None and row.slope_on_knot == slope:
-                        vol_fill = row.vol_filled
-                    break
+        rows = [
+            row for row in census.census_rows() if rolfsen and row.knot_name == rolfsen
+        ]
+        if rows:
+            # the first row of the knot names its complement; a filling's
+            # volume sits on the row of its slope, which may be a later one
+            census_name = rows[0].census_name
+            vol_comp = rows[0].vol_complement
+            if slope is not None:
+                vol_fill = next(
+                    (row.vol_filled for row in rows if row.slope_on_knot == slope), None
+                )
     return QHyperbolicityReport(
         knot=str(knot),
         slope=None if slope is None else str(slope),

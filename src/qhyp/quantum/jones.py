@@ -2,9 +2,12 @@
 
 The production evaluator expands the two twist regions of the plat template
 over fusion channels, so the invariant is a double sum over channel pairs
-weighted by loop/theta coefficients, powers of the half-twist eigenvalues,
-and the tetrahedral network coupling the two trees; after a writhe
-correction the unknot-normalized value at t = q^2 emerges.
+of one weight per channel, powers of the half-twist eigenvalues, and the
+bare tetrahedral coefficient coupling the two trees (the loop, theta and
+tetrahedral prefactors folded into the weights); after a writhe correction
+the unknot-normalized value at t = q^2 emerges.  The double engine
+(_fusion_log_double, over recoupling_level(r)) and its mpmath twin
+(fusion_value_mp) sum this one decomposition.
 
 The channel coefficients are mildly exponential in the color while the
 value itself can be exponentially smaller, so the double sum cancels.  Each
@@ -83,34 +86,34 @@ def _require_knot_color(knot: DoubleTwistKnot, color: int, r: int) -> None:
 
 
 def _fusion_log_double(knot: DoubleTwistKnot, color: int, r: int) -> LogComplex:
-    """One fusion evaluation in doubles, carrying its cancellation ratio."""
+    """One fusion evaluation in doubles, carrying its cancellation ratio.
+
+    The sum of w_i h_i^x T_ij w_j h_j^y over channel pairs, with weights w
+    and bare tetrahedral coefficients T from the level table and half-twist
+    eigenvalues h, times the framing and over loop(a) = (-1)^a [a+1]: the
+    decomposition fusion_value_mp sums under mpmath.
+    """
     level = recoupling_level(r)
     a = color
     if a == 0:
         return LogComplex(0.0, 1.0 + 0j)
-    cs = level.channels(a)
-    log_loop, sign_loop = level.loop_value(cs)
-    log_theta, sign_theta = level.theta(a, cs)
-    log_coef = log_loop - log_theta
-    sign_coef = sign_loop * sign_theta
+    log_w, sign_w = level.weights(a)
     log_tet, sign_tet = level.tet_grid(a)
     x, y = region_twists(knot.m, knot.n)
-    twist = level.half_twist_phase(a, cs)
+    twist = level.half_twist_phase(a, 2 * np.arange(len(log_w)))
     phase_c, phase_d = twist**x, twist**y
-    log_grid = log_coef[:, None] + log_coef[None, :] + log_tet
-    sign_grid = sign_coef[:, None] * sign_coef[None, :] * sign_tet
+    log_grid = log_w[:, None] + log_w[None, :] + log_tet
+    sign_grid = sign_w[:, None] * sign_w[None, :] * sign_tet
     peak = float(np.max(log_grid))
     scaled = sign_grid * np.exp(log_grid - peak)
     total = complex(np.sum(scaled * phase_c[:, None] * phase_d[None, :]))
     magnitude_sum = float(np.sum(np.abs(scaled)))
     condition = magnitude_sum / abs(total) if total != 0 else math.inf
-    log_norm, sign_norm = level.loop_value(np.array([a]))
-    w = _writhe_cached(knot.m, knot.n)
-    frame = level.framing(a) ** (-w)
     if total == 0:
         return LogComplex(-math.inf, 1.0 + 0j, condition)
-    log_abs = peak + math.log(abs(total)) - float(log_norm[0])
-    phase = total / abs(total) * frame * sign_norm[0]
+    frame = level.framing(a) ** (-_writhe_cached(knot.m, knot.n))
+    log_abs = peak + math.log(abs(total)) - float(level.log_int[a + 1])
+    phase = total / abs(total) * frame * (-1) ** a * int(level.sign_int[a + 1])
     return LogComplex(log_abs, complex(phase), condition)
 
 
@@ -286,14 +289,14 @@ def fusion_value_mp(knot: DoubleTwistKnot, color: int, r: int, dps: int):
 
     The double sum runs over channel pairs c = 2i, d = 2j with weights
     U_i = w_i h_i^x and V_j = w_j h_j^y, where h is the half-twist
-    eigenvalue and w_i = loop(c) / theta(a, c) times the channel's share
-    [i]!^4 [a-i]!^2 / [c]! of the tetrahedral prefactor; the shares' common
-    1/[a]!^4 cancels against the thetas.  The tetrahedral network is
-    symmetric in c and d, so each unordered pair is summed once, weighted by
-    U_i V_j + U_j V_i.  Its coefficient is the sum over s of
-    G[s] F[s-a-i] F[s-a-j] F[a+i+j-s], with G[s] = (-1)^s [s+1]! / [2a-s]!
-    and F = 1/[k]!^2, formed from exact products of the raw mantissas and
-    rounded once to the working precision.
+    eigenvalue and w_i = (-1)^(a+i) [2i+1] [i]!^2 [a-i]! / [a+i+1]! is
+    loop(c) / theta(a, c) times the channel's share of the tetrahedral
+    prefactor, as RecouplingLevel.weights has it in doubles.  The
+    tetrahedral network is symmetric in c and d, so each unordered pair is
+    summed once, weighted by U_i V_j + U_j V_i.  Its coefficient is the sum
+    over s of G[s] F[s-a-i] F[s-a-j] F[a+i+j-s], with
+    G[s] = (-1)^s [s+1]! / [2a-s]! and F = 1/[k]!^2, formed from exact
+    products of the raw mantissas and rounded once to the working precision.
     """
     level = _mp_level(r, dps)
     with mp.workdps(dps):

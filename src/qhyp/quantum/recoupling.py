@@ -5,15 +5,18 @@ sin(2 pi / r) of the level-r theory at odd r; for odd r these vanish only
 when k is a multiple of r, so all admissible networks below are finite and
 nonzero exactly where the classical theory says they are.
 
-Quantized factorials overflow doubles long before r reaches interesting
-sizes, so all loop, theta, and tetrahedral coefficients are carried as
-(log-magnitude, sign) pairs, recombined through a max-factored exponential
-sum.  These real coefficients are mixed with unit-modulus twist eigenvalues
-only at the very end.
+The fusion sum is the Kauffman-Lins recoupling sum with the loop, theta and
+tetrahedral prefactors folded into one weight per channel (weights) and a
+bare tetrahedral coefficient per channel pair (tet_grid), the decomposition
+the mpmath twin jones.fusion_value_mp sums too.  Quantized factorials
+overflow doubles long before r reaches interesting sizes, so both are
+carried as (log-magnitude, sign) pairs, recombined through a max-factored
+exponential sum.  These real coefficients are mixed with unit-modulus twist
+eigenvalues only at the very end.
 
-The tetrahedral coefficient implemented is the one needed by the double
-twist template: both twist regions fuse pairs of strands of one color a, so
-the closed network has four a-edges and the two channel edges c and d.
+Both twist regions of the double twist template fuse pairs of strands of
+one color a, so the closed network has four a-edges and the two channel
+edges c = 2i and d = 2j.
 """
 
 from __future__ import annotations
@@ -46,89 +49,63 @@ class RecouplingLevel:
             int
         )
 
-    # -- elementary quantities ---------------------------------------------
+    # -- the fusion decomposition -------------------------------------------
 
-    def loop_value(self, c) -> tuple[np.ndarray, np.ndarray]:
-        """(log, sign) of the c-colored loop (-1)^c [c+1], vectorized."""
-        c = np.asarray(c)
-        sign = (-1) ** (c % 2) * self.sign_int[c + 1]
-        return self.log_int[c + 1], sign
+    def weights(self, a: int) -> tuple[np.ndarray, np.ndarray]:
+        """(log, sign) of the channel weights of two fused a-colored strands,
 
-    def theta(self, a: int, c) -> tuple[np.ndarray, np.ndarray]:
-        """(log, sign) of the theta network with edge colors (a, a, c)."""
-        c = np.asarray(c)
-        h = c // 2
-        m = a - h
-        top = a + h + 1
+            w_i = (-1)^(a+i) [2i+1] [i]!^2 [a-i]! / [a+i+1]!,
+
+        over the admissible channels c = 2i, i = 0 .. min(a, r-2-a).
+        """
+        if not 0 <= a <= self.r - 2:
+            raise ValueError(f"color {a} outside the level-{self.r} range")
+        i = np.arange(min(a, self.r - 2 - a) + 1)
         log = (
-            self.log_fac[top]
-            + self.log_fac[m]
-            + 2 * self.log_fac[h]
-            - 2 * self.log_fac[a]
-            - self.log_fac[c]
+            self.log_int[2 * i + 1]
+            + 2 * self.log_fac[i]
+            + self.log_fac[a - i]
+            - self.log_fac[a + i + 1]
         )
         sign = (
-            (-1) ** ((a + h) % 2)
-            * self.sign_fac[top]
-            * self.sign_fac[m]
-            * self.sign_fac[c]
+            (-1) ** ((a + i) % 2)
+            * self.sign_int[2 * i + 1]
+            * self.sign_fac[a - i]
+            * self.sign_fac[a + i + 1]
         )
         return log, sign
 
-    def channels(self, a: int) -> np.ndarray:
-        """Admissible even fusion channels of two a-colored strands."""
-        if not 0 <= a <= self.r - 2:
-            raise ValueError(f"color {a} outside the level-{self.r} range")
-        cmax = min(2 * a, 2 * (self.r - 2) - 2 * a)
-        return np.arange(0, cmax + 1, 2)
-
     def tet_grid(self, a: int) -> tuple[np.ndarray, np.ndarray]:
-        """(log, sign) grids of the tetrahedral network over channel pairs.
+        """(log, sign) grid of the bare tetrahedral coefficients T_ij,
 
-        Entry (i, j) is the tetrahedron with opposite edges channels[i] and
-        channels[j] and four a-edges, evaluated by the factorial sum over
-        the admissible range; terms whose numerator factorial vanishes at
-        the root drop out automatically.
+            T_ij = sum_s G[s] F[s-a-i] F[s-a-j] F[a+i+j-s],
+
+        with G[s] = (-1)^s [s+1]! / [2a-s]! and F[k] = 1/[k]!^2, over the
+        channel pairs of weights(a); s runs from a + max(i, j) to
+        min(a+i+j, 2a, r-2), past which [s+1]! vanishes at the root.
         """
-        cs = self.channels(a)
-        h = cs // 2
-        c2 = h[:, None]
-        d2 = h[None, :]
-        a1 = a + c2  # vertex half-sums (twice each)
-        a3 = a + d2
-        b12 = a + c2 + d2  # square half-sums (twice)
-        b3 = 2 * a
-        log_pref = (
-            4 * self.log_fac[d2]
-            + 4 * self.log_fac[c2]
-            + 2 * self.log_fac[a - c2]
-            + 2 * self.log_fac[a - d2]
-            - 4 * self.log_fac[a]
-            - self.log_fac[2 * c2]
-            - self.log_fac[2 * d2]
-        )
-        sign_pref = self.sign_fac[2 * c2] * self.sign_fac[2 * d2]
-        smin = np.maximum(a1, a3)
-        smax = np.minimum(b12, b3)
-        smax_eff = np.minimum(smax, self.r - 2)  # [s+1]! = 0 beyond
+        i = np.arange(min(a, self.r - 2 - a) + 1)
+        row, col = i[:, None], i[None, :]
+        smin = a + np.maximum(row, col)
+        smax = np.minimum(np.minimum(a + row + col, 2 * a), self.r - 2)
 
         def term(s):
-            ok = (s >= smin) & (s <= smax_eff)
+            ok = (s >= smin) & (s <= smax)
             s_safe = np.where(ok, s, smin)
             log = self.log_fac[s_safe + 1] - (
-                2 * self.log_fac[s_safe - a1]
-                + 2 * self.log_fac[s_safe - a3]
-                + 2 * self.log_fac[b12 - s_safe]
-                + self.log_fac[b3 - s_safe]
+                2 * self.log_fac[s_safe - a - row]
+                + 2 * self.log_fac[s_safe - a - col]
+                + 2 * self.log_fac[a + row + col - s_safe]
+                + self.log_fac[2 * a - s_safe]
             )
             sign = (
                 (-1) ** (s % 2)
                 * self.sign_fac[s_safe + 1]
-                * self.sign_fac[b3 - s_safe]
+                * self.sign_fac[2 * a - s_safe]
             )
             return np.where(ok, log, -np.inf), np.where(ok, sign, 0)
 
-        lo, hi = int(smin.min()), int(smax_eff.max())
+        lo, hi = int(smin.min()), int(smax.max())
         peak = np.full(smin.shape, -np.inf)
         for s in range(lo, hi + 1):
             lg, _ = term(s)
@@ -136,11 +113,10 @@ class RecouplingLevel:
         acc = np.zeros(smin.shape)
         for s in range(lo, hi + 1):
             lg, sg = term(s)
-            acc += sg * np.exp(np.where(np.isinf(peak), 0.0, lg - peak))
+            acc += sg * np.exp(lg - peak)
         with np.errstate(divide="ignore"):
-            log = log_pref + peak + np.log(np.abs(acc))
-        sign = sign_pref * np.sign(acc).astype(int)
-        return log, sign
+            log = peak + np.log(np.abs(acc))
+        return log, np.sign(acc).astype(int)
 
     # -- unit-modulus factors -----------------------------------------------
 

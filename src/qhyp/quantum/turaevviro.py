@@ -20,11 +20,10 @@ This alternating sum does cancel, catastrophically so for non-hyperbolic
 fillings, where the true value is polynomially small against exponentially
 large terms.  Each evaluation therefore tracks the cancellation ratio
 sum |terms| / |sum|; when it exceeds CONDITION_LIMIT the level/slope pair is
-flagged and recomputed under mpmath with enough digits to cover the
-cancellation plus a safety margin.  Both passes run one state sum
-(_state_sum) over a level table: recoupling_level(r) in doubles, and under
-mpmath the cached jones._mp_level that the Jones evaluators use at those
-digits.
+recomputed under mpmath with enough digits to cover the cancellation plus a
+safety margin.  Both passes run one state sum (_state_sum) over a level
+table: recoupling_level(r) in doubles, and under mpmath the cached
+jones._mp_level that the Jones evaluators use at those digits.
 """
 
 from __future__ import annotations
@@ -53,10 +52,6 @@ class TVSample:
     logslope: float
     condition: float = 1.0
     precision: str = "double"
-
-    @property
-    def flagged(self) -> bool:
-        return self.condition > CONDITION_LIMIT
 
 
 def eta_squared(r: int) -> float:
@@ -113,7 +108,7 @@ def tv_surgery(knot: DoubleTwistKnot, slope: Slope, r: int) -> TVSample:
         raise ValueError("the infinite slope gives back the three-sphere")
     chain = minus_cfe(slope)
     sample, scale = _surgery_double(knot, slope, chain, r)
-    if not sample.flagged:
+    if sample.condition <= CONDITION_LIMIT:
         return sample
     return _tv_surgery_mp(knot, slope, chain, r, scale)
 

@@ -87,6 +87,16 @@ def test_report_bundle():
     assert len(blob["complement"]["samples"]) == 4
 
 
+def test_report_reads_the_filling_row_of_its_slope():
+    # 5_2 has two census rows, K3_2 with slope 5 first and slope 1 second
+    report = q_hyperbolicity_report(
+        DoubleTwistKnot(-4, -2), ExactRational(1), levels=(11, 21, 31, 41)
+    )
+    assert report.census_name == "K3_2"
+    assert report.census_vol_complement == pytest.approx(2.828122)
+    assert report.census_vol_filled == 1.398509
+
+
 def test_report_rejects_unknots():
     with pytest.raises(ValueError):
         q_hyperbolicity_report(DoubleTwistKnot(0, 5))

@@ -192,12 +192,21 @@ def _fusion_formula_mp(knot, a, r, dps):
 
 
 def test_fusion_twin_matches_the_formula():
-    # every color, cancelling ones included, against the sum as written
+    # every color, cancelling ones included, against the sum as written;
+    # the double engine sums the twin's decomposition, so every color it
+    # keeps in doubles is held to the same formula
     for knot in (DoubleTwistKnot(2, -3), DoubleTwistKnot(2, 2)):
+        kept = 0
         for color in range(1, 30):
             a = fusion_value_mp(knot, color, 31, 40)
             b = _fusion_formula_mp(knot, color, 31, 40)
             assert abs(complex((a - b) / b)) <= 1e-25, (knot, color)
+            double = _fusion_log_double(knot, color, 31)
+            if double.condition <= CONDITION_LIMIT:
+                kept += 1
+                d = double.to_complex()
+                assert abs(complex(b) - d) <= 1e-9 * max(1.0, abs(d)), (knot, color)
+        assert kept >= 15, knot
 
 
 def test_fusion_twin_keeps_its_digits():
@@ -248,6 +257,22 @@ def test_figure_eight_escalation_set():
                 flagged.append((N, r))
     assert len(flagged) == 1707
     assert flagged[0] == (13, 57)
+
+
+def test_fusion_escalation_set():
+    # the double fusion sums alone, without escalating: the count and first
+    # (color, level) pair of the complement colors that escalate
+    expected = {(2, -3): (140, (11, 33)), (2, 2): (159, (9, 21))}
+    for pair, (count, first) in expected.items():
+        knot = DoubleTwistKnot(*pair)
+        flagged = [
+            (a, r)
+            for r in range(5, 62, 2)
+            for a in range((r - 1) // 2)
+            if _fusion_log_double(knot, a, r).condition > CONDITION_LIMIT
+        ]
+        assert len(flagged) == count, pair
+        assert flagged[0] == first, pair
 
 
 def test_escalation_dps_rule():

@@ -9,6 +9,7 @@ from qhyp.twistknots import DoubleTwistKnot, mirror
 from qhyp.quantum import jones, turaevviro
 from qhyp.quantum.recoupling import recoupling_level
 from qhyp.quantum.turaevviro import (
+    CONDITION_LIMIT,
     TVSample,
     _surgery_double,
     _tv_surgery_mp,
@@ -164,9 +165,10 @@ def test_escalated_condition_is_measured_in_mpmath():
     assert auto.precision == extended.precision == "mp47"
     assert auto.tv == extended.tv
     assert extended.condition == pytest.approx(auto.condition, rel=1e-9)
-    assert auto.flagged
+    assert auto.condition > CONDITION_LIMIT
 
 
 def test_sample_dataclass():
     s = TVSample(r=7, tv=1.0, logslope=0.0)
-    assert not s.flagged
+    assert s.condition == 1.0
+    assert s.precision == "double"
