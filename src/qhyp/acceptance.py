@@ -8,8 +8,9 @@ Dehn-filling monotonicity inequality, the census volume bounds, and a
 randomized property harness over all module invariants.
 
 Every criterion returns a CriterionResult; `run_all` executes them in order
-and is what the command line's verify-all subcommand and the acceptance
-test module both call, so the gate runs identically in both harnesses.
+for the command line's verify-all subcommand, and the acceptance test
+module calls the same criterion functions one test each, so the gate runs
+identically in both harnesses.
 """
 
 from __future__ import annotations
@@ -18,7 +19,7 @@ import math
 import random
 import time
 from dataclasses import dataclass
-from typing import Callable, Iterable, Optional
+from typing import Callable
 
 from .rationals import (
     ContinuedFraction,
@@ -517,15 +518,10 @@ ALL_CRITERIA: tuple[Callable[[], CriterionResult], ...] = (
 )
 
 
-def run_all(
-    numbers: Optional[Iterable[int]] = None, echo: bool = False
-) -> list[CriterionResult]:
-    """Run the selected criteria (all by default) in order."""
-    wanted = set(numbers) if numbers else None
+def run_all(echo: bool = False) -> list[CriterionResult]:
+    """Run every criterion in order."""
     results = []
-    for idx, criterion in enumerate(ALL_CRITERIA, start=1):
-        if wanted and idx not in wanted:
-            continue
+    for criterion in ALL_CRITERIA:
         result = criterion()
         if echo:
             print(result.line(), flush=True)

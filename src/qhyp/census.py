@@ -29,6 +29,7 @@ from .surgery import (
     ExceptionalFillingError,
     shared_surgery,
 )
+from .twistknots import DoubleTwistKnot
 
 #: Volume of the regular ideal tetrahedron.
 V_TET = 1.01494
@@ -150,6 +151,51 @@ def lookup(family: str, n: int) -> KnotTableRow:
     raise UnknownRowError(f"no table entry for family {family!r}, n = {n}")
 
 
+def identify_family(knot: DoubleTwistKnot) -> Optional[tuple[str, int]]:
+    """(family, n) when the knot is literally D(2n, -3) or D(2n, -2)."""
+    for a, b in ((knot.m, knot.n), (knot.n, knot.m)):
+        if b == -3 and a % 2 == 0 and a != 0:
+            return "D", a // 2
+        if b == -2 and a % 2 == 0 and a != 0:
+            return "D'", a // 2
+    return None
+
+
+def rolfsen_name(knot: DoubleTwistKnot) -> Optional[str]:
+    """Rolfsen name of a tabulated D or D' knot, None for any other knot."""
+    membership = identify_family(knot)
+    return next(
+        (row.rolfsen_name for row in _NAME_ROWS if (row.family, row.n) == membership),
+        None,
+    )
+
+
+def volume_targets(knot: DoubleTwistKnot, slope: Optional[Slope]) -> Optional[dict]:
+    """Census name and volumes of a tabulated knot, None for any other knot.
+
+    The knot's first row names its complement.  Each row reads
+    K(slopeOnK) = 4_1(slopeOn41), so a knot's filling sits on the row of its
+    slope in the slopeOnK column, and the figure-eight's own fillings in the
+    slopeOn41 column, up to sign since 4_1 is amphichiral.  vol_filled is
+    None when no slope is given or no row lists it.
+    """
+    name = rolfsen_name(knot)
+    rows = [row for row in _CENSUS_ROWS if name is not None and row.knot_name == name]
+    if not rows:
+        return None
+    if slope is None:
+        fillings = []
+    elif name == "4_1":
+        fillings = [row for row in _CENSUS_ROWS if row.slope_on_fig8 in (slope, -slope)]
+    else:
+        fillings = [row for row in rows if row.slope_on_knot == slope]
+    return {
+        "name": rows[0].census_name,
+        "vol_complement": rows[0].vol_complement,
+        "vol_filled": fillings[0].vol_filled if fillings else None,
+    }
+
+
 def find_all_shared(census_name: str) -> list[CensusRow]:
     """Every census row for the given name (K3_2 has two filling rows)."""
     rows = [r for r in _CENSUS_ROWS if r.census_name == census_name]
@@ -261,6 +307,9 @@ __all__ = [
     "name_rows",
     "census_rows",
     "lookup",
+    "identify_family",
+    "rolfsen_name",
+    "volume_targets",
     "find_shared",
     "find_all_shared",
     "serialize_census",

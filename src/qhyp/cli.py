@@ -16,7 +16,9 @@ from __future__ import annotations
 
 import argparse
 import json
+import re
 import sys
+from dataclasses import asdict
 from typing import Optional
 
 from .rationals import (
@@ -45,7 +47,6 @@ from .quantum.oracles import colored_jones_rmatrix_oracle
 from .quantum.growth import (
     complement_sweep,
     default_levels,
-    identify_family,
     q_hyperbolicity_report,
     surgery_sweep,
 )
@@ -119,16 +120,9 @@ def cmd_knot(args) -> int:
     delta = alexander(frac)
     cfe = fibered_cfe(frac)
     fibered = cfe is not NOT_FIBERED
-    membership = identify_family(knot)
-    name = None
-    if membership:
-        try:
-            name = census_mod.lookup(*membership).rolfsen_name
-        except census_mod.UnknownRowError:
-            name = None
     report = {
         "knot": str(knot),
-        "rolfsen_name": name,
+        "rolfsen_name": census_mod.rolfsen_name(knot),
         "two_bridge_fraction": str(frac),
         "alexander": delta.terms(),
         "alexander_str": str(delta),
@@ -181,13 +175,6 @@ def cmd_jones(args) -> int:
     return 0
 
 
-def _sweep_csv(samples) -> str:
-    lines = ["r,tv,logslope"]
-    for s in samples:
-        lines.append(f"{s.r},{s.tv!r},{s.logslope!r}")
-    return "\n".join(lines)
-
-
 def cmd_tv(args) -> int:
     knot = _knot_from_args(args)
     levels = _levels_from_args(args)
@@ -196,30 +183,19 @@ def cmd_tv(args) -> int:
     else:
         samples = complement_sweep(knot, levels)
     if args.format == "json":
-        payload = [
-            {
-                "r": s.r,
-                "tv": s.tv,
-                "logslope": s.logslope,
-                "condition": s.condition,
-                "precision": s.precision,
-            }
-            for s in samples
-        ]
-        _emit(args, json.dumps(payload, sort_keys=True))
+        _emit(args, json.dumps([asdict(s) for s in samples], sort_keys=True))
     else:
-        _emit(args, _sweep_csv(samples))
+        lines = ["r,tv,logslope"]
+        lines += [f"{s.r},{s.tv!r},{s.logslope!r}" for s in samples]
+        _emit(args, "\n".join(lines))
     return 0
 
 
 def cmd_ltv(args) -> int:
     knot = _knot_from_args(args)
     levels = _levels_from_args(args)
-    report = q_hyperbolicity_report(knot, slope=args.slope, levels=levels)
-    if args.format == "csv":
-        _emit(args, _sweep_csv(report.complement_samples))
-    else:
-        _emit(args, json.dumps(report.to_json(), sort_keys=True))
+    report = q_hyperbolicity_report(knot, args.slope, levels)
+    _emit(args, json.dumps(report, sort_keys=True))
     return 0
 
 
@@ -305,7 +281,6 @@ def _add_sweep_options(parser) -> None:
     parser.add_argument("--r-max", type=int, default=501, help="last odd level")
     parser.add_argument("--r-step", type=int, default=50,
                         help="level step (even, to keep levels odd)")
-    parser.add_argument("--format", choices=("json", "csv"), default="csv")
     parser.add_argument("--output", default=None, help="write the report here")
 
 
@@ -350,9 +325,10 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--slope", type=_parse_slope, default=None,
                    help="fill along this slope; omit for the complement")
     _add_sweep_options(p)
+    p.add_argument("--format", choices=("json", "csv"), default="csv")
     p.set_defaults(func=cmd_tv)
 
-    p = sub.add_parser("ltv", help="growth estimate with census targets")
+    p = sub.add_parser("ltv", help="growth estimate with census targets (JSON)")
     _add_knot_options(p)
     p.add_argument("--slope", type=_parse_slope, default=None)
     _add_sweep_options(p)
@@ -375,22 +351,26 @@ def build_parser() -> argparse.ArgumentParser:
     return parser
 
 
-_VALUE_FLAGS = ("--slope", "--knot", "--n", "--alternating", "--color", "--r")
-
-
 def _join_negative_values(argv: list[str]) -> list[str]:
-    """Merge '--flag -7/2' into '--flag=-7/2' so argparse keeps the value."""
-    out = []
-    skip = False
-    for i, tok in enumerate(argv):
-        if skip:
-            skip = False
-            continue
-        if tok in _VALUE_FLAGS and i + 1 < len(argv) and argv[i + 1].startswith("-"):
-            out.append(f"{tok}={argv[i + 1]}")
-            skip = True
-        else:
+    """Keep negative numbers such as '-7/2' or '-2,3' as values.
+
+    argparse takes such a token for an option, but no qhyp option starts
+    with a digit, so it is always a value.  One right after an option joins
+    it ('--slope=-7/2'); any other is a positional and moves behind '--',
+    except one ahead of the subcommand, which stays for argparse to reject.
+    Tokens after a '--' the user gave pass through untouched.
+    """
+    cut = argv.index("--") if "--" in argv else len(argv)
+    out, positionals = [], []
+    for tok in argv[:cut]:
+        if not out or not re.match(r"-\d", tok):
             out.append(tok)
+        elif out and out[-1].startswith("-") and "=" not in out[-1]:
+            out[-1] += "=" + tok
+        else:
+            positionals.append(tok)
+    if positionals or cut < len(argv):
+        out += ["--"] + positionals + argv[cut + 1:]
     return out
 
 

@@ -9,11 +9,16 @@ levels by least squares against the model
 whose subleading terms absorb the polynomial prefactors these invariants
 carry; the extrapolated growth rate is the fitted a, and the raw value at
 the largest level is kept alongside as a conservative cross-check.
+
+q_hyperbolicity_report is the `qhyp ltv` report itself: a JSON-ready dict
+with the complement sweep, an optional filling sweep, both estimates, the
+monotonicity verdict and the census volumes.  Each sample in it carries
+every TVSample field, so it records how it was computed.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import asdict, dataclass
 from typing import Optional, Sequence
 
 import numpy as np
@@ -96,136 +101,46 @@ def surgery_sweep(
     return [tv_surgery(knot, slope, r) for r in sorted(set(levels))]
 
 
-@dataclass(frozen=True)
-class QHyperbolicityReport:
-    """Bundle of sweep evidence for one knot and optional filling slope."""
-
-    knot: str
-    slope: Optional[str]
-    complement_samples: list[TVSample]
-    complement_estimate: GrowthEstimate
-    filling_samples: list[TVSample] = field(default_factory=list)
-    filling_estimate: Optional[GrowthEstimate] = None
-    census_name: Optional[str] = None
-    census_vol_complement: Optional[float] = None
-    census_vol_filled: Optional[float] = None
-    monotonicity_ok: Optional[bool] = None
-    monotonicity_margin: Optional[float] = None
-
-    @property
-    def q_hyperbolic_evidence(self) -> bool:
-        return self.complement_estimate.extrapolated > 0
-
-    def to_json(self) -> dict:
-        out = {
-            "knot": self.knot,
-            "slope": self.slope,
-            "complement": {
-                "samples": [
-                    {"r": s.r, "tv": s.tv, "logslope": s.logslope}
-                    for s in self.complement_samples
-                ],
-                "estimate": self.complement_estimate.to_json(),
-            },
-            "q_hyperbolic_evidence": self.q_hyperbolic_evidence,
-        }
-        if self.filling_estimate is not None:
-            out["filling"] = {
-                "samples": [
-                    {
-                        "r": s.r,
-                        "tv": s.tv,
-                        "logslope": s.logslope,
-                        "precision": s.precision,
-                    }
-                    for s in self.filling_samples
-                ],
-                "estimate": self.filling_estimate.to_json(),
-                "monotonicity_ok": self.monotonicity_ok,
-                "monotonicity_margin": self.monotonicity_margin,
-            }
-        if self.census_name is not None:
-            out["census"] = {
-                "name": self.census_name,
-                "vol_complement": self.census_vol_complement,
-                "vol_filled": self.census_vol_filled,
-            }
-        return out
-
-
-def identify_family(knot: DoubleTwistKnot) -> Optional[tuple[str, int]]:
-    """(family, n) when the knot is literally D(2n, -3) or D(2n, -2)."""
-    for a, b in ((knot.m, knot.n), (knot.n, knot.m)):
-        if b == -3 and a % 2 == 0 and a != 0:
-            return "D", a // 2
-        if b == -2 and a % 2 == 0 and a != 0:
-            return "D'", a // 2
-    return None
-
-
 def q_hyperbolicity_report(
-    knot: DoubleTwistKnot,
-    slope: Optional[Slope] = None,
-    levels: Optional[Sequence[int]] = None,
-) -> QHyperbolicityReport:
-    """Sweep the complement (and optionally a filling) and compare growth.
+    knot: DoubleTwistKnot, slope: Optional[Slope], levels: Sequence[int]
+) -> dict:
+    """Sweep the complement (and a filling, unless slope is None) over the
+    same levels and compare growth; the JSON report `qhyp ltv` prints.
 
     The filling comparison checks the Dehn-filling monotonicity property:
     the complement's extrapolated growth must be at least the filling's
-    minus MONOTONICITY_TOLERANCE.  Both sweeps run over the same levels.
-    Census volumes are attached when the knot is one of the tabulated twist
-    knots.
+    minus MONOTONICITY_TOLERANCE.  Census volumes are attached when the knot
+    is one of the tabulated twist knots.
     """
     try:
         fraction_of(knot)
     except NotTwoBridgeKnotError:
         raise ValueError(f"{knot} is not a hyperbolic double twist knot")
-    levels = list(levels) if levels else default_levels(51, 251, 50)
-    comp_samples = complement_sweep(knot, levels)
-    comp_est = ltv_estimate(comp_samples)
-    fill_samples: list[TVSample] = []
-    fill_est = None
-    mono_ok = None
-    mono_margin = None
+    samples = complement_sweep(knot, levels)
+    estimate = ltv_estimate(samples)
+    report = {
+        "knot": str(knot),
+        "slope": None if slope is None else str(slope),
+        "complement": {
+            "samples": [asdict(s) for s in samples],
+            "estimate": estimate.to_json(),
+        },
+        "q_hyperbolic_evidence": estimate.extrapolated > 0,
+    }
     if slope is not None:
-        fill_samples = surgery_sweep(knot, slope, levels)
-        fill_est = ltv_estimate(fill_samples)
-        mono_margin = comp_est.extrapolated - fill_est.extrapolated
-        mono_ok = mono_margin >= -MONOTONICITY_TOLERANCE
-    census_name = None
-    vol_comp = None
-    vol_fill = None
-    membership = identify_family(knot)
-    if membership is not None:
-        try:
-            rolfsen = census.lookup(*membership).rolfsen_name
-        except census.UnknownRowError:
-            rolfsen = None
-        rows = [
-            row for row in census.census_rows() if rolfsen and row.knot_name == rolfsen
-        ]
-        if rows:
-            # the first row of the knot names its complement; a filling's
-            # volume sits on the row of its slope, which may be a later one
-            census_name = rows[0].census_name
-            vol_comp = rows[0].vol_complement
-            if slope is not None:
-                vol_fill = next(
-                    (row.vol_filled for row in rows if row.slope_on_knot == slope), None
-                )
-    return QHyperbolicityReport(
-        knot=str(knot),
-        slope=None if slope is None else str(slope),
-        complement_samples=comp_samples,
-        complement_estimate=comp_est,
-        filling_samples=fill_samples,
-        filling_estimate=fill_est,
-        census_name=census_name,
-        census_vol_complement=vol_comp,
-        census_vol_filled=vol_fill,
-        monotonicity_ok=mono_ok,
-        monotonicity_margin=mono_margin,
-    )
+        filling = surgery_sweep(knot, slope, levels)
+        filling_estimate = ltv_estimate(filling)
+        margin = estimate.extrapolated - filling_estimate.extrapolated
+        report["filling"] = {
+            "samples": [asdict(s) for s in filling],
+            "estimate": filling_estimate.to_json(),
+            "monotonicity_ok": margin >= -MONOTONICITY_TOLERANCE,
+            "monotonicity_margin": margin,
+        }
+    targets = census.volume_targets(knot, slope)
+    if targets is not None:
+        report["census"] = targets
+    return report
 
 
 __all__ = [
@@ -236,7 +151,5 @@ __all__ = [
     "default_levels",
     "complement_sweep",
     "surgery_sweep",
-    "QHyperbolicityReport",
-    "identify_family",
     "q_hyperbolicity_report",
 ]

@@ -84,39 +84,32 @@ class RecouplingLevel:
         channel pairs of weights(a); s runs from a + max(i, j) to
         min(a+i+j, 2a, r-2), past which [s+1]! vanishes at the root.
         """
-        i = np.arange(min(a, self.r - 2 - a) + 1)
-        row, col = i[:, None], i[None, :]
-        smin = a + np.maximum(row, col)
-        smax = np.minimum(np.minimum(a + row + col, 2 * a), self.r - 2)
-
-        def term(s):
+        n = min(a, self.r - 2 - a) + 1
+        j = np.arange(n)
+        log, sign = np.empty((n, n)), np.empty((n, n), dtype=int)
+        for i in range(n):
+            # one row of channel pairs at a time: terms indexed (s, j)
+            smin = a + np.maximum(i, j)
+            smax = np.minimum(np.minimum(a + i + j, 2 * a), self.r - 2)
+            s = np.arange(a + i, int(smax.max()) + 1)[:, None]
             ok = (s >= smin) & (s <= smax)
             s_safe = np.where(ok, s, smin)
-            log = self.log_fac[s_safe + 1] - (
-                2 * self.log_fac[s_safe - a - row]
-                + 2 * self.log_fac[s_safe - a - col]
-                + 2 * self.log_fac[a + row + col - s_safe]
+            term_log = self.log_fac[s_safe + 1] - (
+                2 * self.log_fac[s_safe - a - i]
+                + 2 * self.log_fac[s_safe - a - j]
+                + 2 * self.log_fac[a + i + j - s_safe]
                 + self.log_fac[2 * a - s_safe]
             )
-            sign = (
-                (-1) ** (s % 2)
-                * self.sign_fac[s_safe + 1]
-                * self.sign_fac[2 * a - s_safe]
+            term_sign = (
+                (-1) ** (s % 2) * self.sign_fac[s_safe + 1] * self.sign_fac[2 * a - s_safe]
             )
-            return np.where(ok, log, -np.inf), np.where(ok, sign, 0)
-
-        lo, hi = int(smin.min()), int(smax.max())
-        peak = np.full(smin.shape, -np.inf)
-        for s in range(lo, hi + 1):
-            lg, _ = term(s)
-            peak = np.maximum(peak, lg)
-        acc = np.zeros(smin.shape)
-        for s in range(lo, hi + 1):
-            lg, sg = term(s)
-            acc += sg * np.exp(lg - peak)
-        with np.errstate(divide="ignore"):
-            log = peak + np.log(np.abs(acc))
-        return log, np.sign(acc).astype(int)
+            term_log = np.where(ok, term_log, -np.inf)
+            peak = term_log.max(axis=0)
+            acc = (np.where(ok, term_sign, 0) * np.exp(term_log - peak)).sum(axis=0)
+            with np.errstate(divide="ignore"):
+                log[i] = peak + np.log(np.abs(acc))
+            sign[i] = np.sign(acc)
+        return log, sign
 
     # -- unit-modulus factors -----------------------------------------------
 

@@ -4,6 +4,7 @@ import pytest
 
 from qhyp import census
 from qhyp.rationals import ExactRational
+from qhyp.twistknots import DoubleTwistKnot
 
 
 def test_row_counts():
@@ -33,6 +34,29 @@ def test_lookup():
     assert census.lookup("D", -2).rolfsen_name == "6_2"
     with pytest.raises(census.UnknownRowError):
         census.lookup("D", 99)
+
+
+def test_volume_targets():
+    fig8 = DoubleTwistKnot(2, -2)
+    # 4_1's own fillings sit in the slopeOn41 column, up to sign
+    assert census.volume_targets(fig8, ExactRational(5))["vol_filled"] == 0.981369
+    assert census.volume_targets(fig8, ExactRational(-7, 2))["vol_filled"] == 1.649610
+    assert census.volume_targets(fig8, ExactRational(1))["vol_filled"] is None
+    assert census.volume_targets(fig8, None) == {
+        "name": "K2_1", "vol_complement": 2.029883, "vol_filled": None
+    }
+    assert census.volume_targets(DoubleTwistKnot(2, -3), ExactRational(5)) == {
+        "name": "K3_2", "vol_complement": 2.828122, "vol_filled": 0.981369
+    }
+    target = census.volume_targets(DoubleTwistKnot(-4, -2), ExactRational(1))
+    assert (target["name"], target["vol_filled"]) == ("K3_2", 1.398509)
+    assert census.volume_targets(DoubleTwistKnot(5, -3), ExactRational(1)) is None
+    # the first row of a figure-eight slope speaks for every row sharing it
+    by_slope = {}
+    for row in census.census_rows():
+        if row.slope_on_fig8 is not None:
+            by_slope.setdefault(abs(row.slope_on_fig8), set()).add(round(row.vol_filled, 6))
+    assert all(len(vols) == 1 for vols in by_slope.values())
 
 
 def test_find_shared():

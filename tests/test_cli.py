@@ -1,8 +1,10 @@
 import json
+from dataclasses import fields
 
 import pytest
 
 from qhyp.cli import main
+from qhyp.quantum.turaevviro import TVSample
 
 
 def run_cli(capsys, *argv):
@@ -18,6 +20,28 @@ def test_cfe(capsys):
     assert blob["value"] == "2/5"
     code, out = run_cli(capsys, "cfe", "--alternating", "2")
     assert json.loads(out)["entries"] == [2, 2, -2, 2]
+
+
+def test_negative_values_stay_values(capsys, tmp_path):
+    # a leading negative entry is a positional, wherever it stands
+    code, out = run_cli(capsys, "cfe", "-2,3")
+    assert code == 0
+    assert json.loads(out)["entries"] == [-2, 3]
+    _, after_dashes = run_cli(capsys, "cfe", "--", "-2,3")
+    assert after_dashes == out
+    target = tmp_path / "cfe.json"
+    assert main(["cfe", "-2,3", "--output", str(target)]) == 0
+    assert target.read_text() == out
+    with pytest.raises(SystemExit) as err:
+        main(["-2,3", "cfe"])  # not a subcommand
+    assert err.value.code == 2
+    # after an option it is that option's value
+    levels = ("--r-min", "11", "--r-max", "17", "--r-step", "2")
+    code, out = run_cli(capsys, "tv", "--knot", "-2,2", "--slope", "-7/2", *levels)
+    assert code == 0
+    _, joined = run_cli(capsys, "tv", "--knot=-2,2", "--slope=-7/2", *levels)
+    assert out == joined
+    assert len(out.splitlines()) == 5
 
 
 def test_knot_report(capsys):
@@ -64,13 +88,17 @@ def test_ltv_json(capsys):
         capsys,
         "ltv", "--knot", "2,-3", "--slope", "5",
         "--r-min", "11", "--r-max", "41", "--r-step", "10",
-        "--format", "json",
     )
     assert code == 0
     blob = json.loads(out)
     assert blob["census"]["name"] == "K3_2"
     assert "estimate" in blob["complement"]
     assert "filling" in blob
+    # every sample records how it was computed
+    names = {f.name for f in fields(TVSample)}
+    for sweep in ("complement", "filling"):
+        assert len(blob[sweep]["samples"]) == 4
+        assert all(set(sample) == names for sample in blob[sweep]["samples"])
 
 
 def test_monodromy(capsys):
@@ -114,6 +142,8 @@ LEVELS = ("--r-min", "11", "--r-max", "17", "--r-step", "2")  # quick if accepte
         ("jones", "--knot", "2,2", "--color", "23", "--r", "61", "--precision", "extended"),
         ("--threads", "2", "tv", "--knot", "2,-2") + LEVELS,
         ("ltv", "--knot", "2,-2", "--tolerance", "1") + LEVELS,
+        ("ltv", "--knot", "2,-2", "--format", "json") + LEVELS,
+        ("ltv", "--knot", "2,-2", "--format", "csv") + LEVELS,
     ],
 )
 def test_removed_options_are_usage_errors(argv):

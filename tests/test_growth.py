@@ -1,5 +1,6 @@
 import pytest
 
+from qhyp.census import identify_family
 from qhyp.rationals import ExactRational
 from qhyp.twistknots import DoubleTwistKnot
 from qhyp.quantum.turaevviro import TVSample
@@ -7,7 +8,6 @@ from qhyp.quantum.growth import (
     InsufficientDataError,
     complement_sweep,
     default_levels,
-    identify_family,
     ltv_estimate,
     q_hyperbolicity_report,
     surgery_sweep,
@@ -77,14 +77,12 @@ def test_report_bundle():
         slope=ExactRational(5),
         levels=(11, 21, 31, 41),
     )
-    assert report.census_name == "K3_2"
-    assert report.census_vol_complement == pytest.approx(2.828122)
-    assert report.census_vol_filled == pytest.approx(0.981369)
-    assert report.monotonicity_ok is not None
-    blob = report.to_json()
-    assert blob["knot"] == "D(2, -3)"
-    assert blob["census"]["name"] == "K3_2"
-    assert len(blob["complement"]["samples"]) == 4
+    assert report["census"]["name"] == "K3_2"
+    assert report["census"]["vol_complement"] == pytest.approx(2.828122)
+    assert report["census"]["vol_filled"] == pytest.approx(0.981369)
+    assert report["filling"]["monotonicity_ok"] is not None
+    assert report["knot"] == "D(2, -3)"
+    assert len(report["complement"]["samples"]) == 4
 
 
 def test_report_reads_the_filling_row_of_its_slope():
@@ -92,11 +90,11 @@ def test_report_reads_the_filling_row_of_its_slope():
     report = q_hyperbolicity_report(
         DoubleTwistKnot(-4, -2), ExactRational(1), levels=(11, 21, 31, 41)
     )
-    assert report.census_name == "K3_2"
-    assert report.census_vol_complement == pytest.approx(2.828122)
-    assert report.census_vol_filled == 1.398509
+    assert report["census"]["name"] == "K3_2"
+    assert report["census"]["vol_complement"] == pytest.approx(2.828122)
+    assert report["census"]["vol_filled"] == 1.398509
 
 
 def test_report_rejects_unknots():
     with pytest.raises(ValueError):
-        q_hyperbolicity_report(DoubleTwistKnot(0, 5))
+        q_hyperbolicity_report(DoubleTwistKnot(0, 5), None, (11, 21, 31, 41))
