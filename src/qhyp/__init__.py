@@ -22,7 +22,6 @@ from .rationals import (
 from .twistknots import (
     DoubleTwistKnot,
     LaurentPolynomial,
-    NOT_FIBERED,
     TwoBridgeFraction,
     alexander,
     fiber_genus,
@@ -35,8 +34,6 @@ from .surgery import (
     SurgeryComponent,
     SurgeryPresentation,
     blow_down,
-    dn_filling_slope,
-    dn_prime_filling_slope,
     is_exceptional_fig8_slope,
     rolfsen_twist,
     shared_surgery,

@@ -31,7 +31,6 @@ from .rationals import (
 )
 from .twistknots import (
     DoubleTwistKnot,
-    NOT_FIBERED,
     alexander,
     alexander_genus1_seifert,
     fiber_genus,
@@ -109,8 +108,8 @@ def criterion_2() -> CriterionResult:
         for n in range(-10, 11):
             if n == 0:
                 continue
-            a = surgery_mod.dn_filling_slope(n)
-            b = surgery_mod.dn_prime_filling_slope(n)
+            a = surgery_mod.shared_surgery_moves(surgery_mod.FAMILY_D, n)[0]
+            b = surgery_mod.shared_surgery_moves(surgery_mod.FAMILY_D_PRIME, n)[0]
             if a != ExactRational(4 * n + 1) or b != ExactRational(1):
                 return False, f"move sequence wrong at n = {n}: got {a}, {b}"
         return True, "move sequences end at 4n+1 and 1 exactly for n in [-10,10]"
@@ -156,7 +155,7 @@ def criterion_5() -> CriterionResult:
     def body():
         for g in range(1, 11):
             cfe = fibered_cfe(fraction_of(DoubleTwistKnot(3, 2 * g)))
-            if cfe is NOT_FIBERED or cfe != alternating_cfe(g):
+            if cfe != alternating_cfe(g):
                 return False, f"D(3,{2*g}) expansion wrong: {cfe}"
             if fiber_genus(cfe) != g:
                 return False, f"genus wrong at g = {g}"
@@ -166,7 +165,7 @@ def criterion_5() -> CriterionResult:
             if row.rolfsen_name != name:
                 return False, f"table name mismatch at n = {n}"
             cfe = fibered_cfe(fraction_of(DoubleTwistKnot(2 * n, -3)))
-            if cfe is NOT_FIBERED or fiber_genus(cfe) != abs(n):
+            if cfe is None or fiber_genus(cfe) != abs(n):
                 return False, f"{name} should be fibered of genus {abs(n)}"
         return True, "D(3,2g) fibered of genus g; 4_1, 6_2, 8_2, 10_2 have genus 1..4"
 
@@ -386,7 +385,7 @@ def criterion_12() -> CriterionResult:
             from .twistknots import TwoBridgeFraction
 
             redone = fibered_cfe(TwoBridgeFraction(frac))
-            if redone is NOT_FIBERED:
+            if redone is None:
                 return False, f"peeling lost the expansion {entries}"
         # surgery moves invert
         for _ in range(150):

@@ -5,7 +5,7 @@ low-crossing knots D(2n, -3) and D(2n, -2) with Rolfsen names, and the table
 of census knot complements (at most nine tetrahedra) sharing a Dehn filling
 with the figure-eight complement, together with the slopes on both sides and
 the volumes involved.  Volumes are kept verbatim as printed, as decimal
-strings, and the dataset round-trips through its CSV form byte-identically.
+strings.
 
 The leading integer of a census name K<t>_<i> is the tetrahedron count t of
 the complement's triangulation, which gives the upper bound v_oct * t for
@@ -31,8 +31,6 @@ from .surgery import (
 )
 from .twistknots import DoubleTwistKnot
 
-#: Volume of the regular ideal tetrahedron.
-V_TET = 1.01494
 #: Volume of the regular ideal octahedron.
 V_OCT = 3.6638
 
@@ -71,16 +69,6 @@ class CensusRow:
     def has_filling(self) -> bool:
         return self.slope_on_knot is not None
 
-    def csv_fields(self) -> list[str]:
-        return [
-            self.census_name,
-            self.vol_complement_str,
-            "-" if self.slope_on_knot is None else str(self.slope_on_knot),
-            "-" if self.slope_on_fig8 is None else str(self.slope_on_fig8),
-            self.vol_filled_str,
-            self.knot_name or "",
-        ]
-
 
 def tetrahedra(census_name: str) -> int:
     """Tetrahedron count encoded in the leading integer of K<t>_<i>."""
@@ -88,13 +76,6 @@ def tetrahedra(census_name: str) -> int:
     if not m:
         raise ValueError(f"malformed census name {census_name!r}")
     return int(m.group(1))
-
-
-def gromov_norm(vol: float) -> float:
-    """Total hyperbolic volume divided by the regular ideal tetrahedron's."""
-    if vol < 0:
-        raise ValueError("volume must be non-negative")
-    return vol / V_TET
 
 
 def _read_resource(name: str) -> str:
@@ -133,10 +114,6 @@ def _load_census() -> list[CensusRow]:
 
 _NAME_ROWS = _load_names()
 _CENSUS_ROWS = _load_census()
-
-
-def name_rows() -> list[KnotTableRow]:
-    return list(_NAME_ROWS)
 
 
 def census_rows() -> list[CensusRow]:
@@ -202,23 +179,6 @@ def find_all_shared(census_name: str) -> list[CensusRow]:
     if not rows:
         raise UnknownRowError(f"no census row named {census_name!r}")
     return rows
-
-
-def find_shared(census_name: str) -> CensusRow:
-    """First census row for the given name."""
-    return find_all_shared(census_name)[0]
-
-
-def serialize_census() -> str:
-    """Re-emit the census table; byte-identical to the packaged resource."""
-    buf = io.StringIO()
-    writer = csv.writer(buf, lineterminator="\n")
-    writer.writerow(
-        ["censusName", "volComplement", "slopeOnK", "slopeOn41", "volFilled", "knotName"]
-    )
-    for row in _CENSUS_ROWS:
-        writer.writerow(row.csv_fields())
-    return buf.getvalue()
 
 
 @dataclass(frozen=True)
@@ -296,23 +256,18 @@ def slope_pair_matches(row: CensusRow) -> Optional[bool]:
 
 
 __all__ = [
-    "V_TET",
     "V_OCT",
     "KnotTableRow",
     "CensusRow",
     "BoundCheck",
     "UnknownRowError",
     "tetrahedra",
-    "gromov_norm",
-    "name_rows",
     "census_rows",
     "lookup",
     "identify_family",
     "rolfsen_name",
     "volume_targets",
-    "find_shared",
     "find_all_shared",
-    "serialize_census",
     "check_volume_bounds",
     "family_memberships",
     "slope_pair_matches",

@@ -30,7 +30,6 @@ from .rationals import (
 )
 from .twistknots import (
     DoubleTwistKnot,
-    NOT_FIBERED,
     alexander,
     fiber_genus,
     fibered_cfe,
@@ -77,14 +76,18 @@ def _emit(args, text: str) -> None:
         print(text)
 
 
+class UsageError(Exception):
+    """Arguments that parse but do not combine; reported as a usage error."""
+
+
 def _knot_from_args(args) -> DoubleTwistKnot:
-    if args.knot is not None:
+    if args.knot is not None and args.family is None and args.n is None:
         return args.knot
-    if args.family is not None and args.n is not None:
+    if args.knot is None and args.family is not None and args.n is not None:
         if args.family == "D":
             return DoubleTwistKnot(2 * args.n, -3)
         return DoubleTwistKnot(2 * args.n, -2)
-    raise SystemExit("specify either --knot m,n or --family {D,D'} with --n")
+    raise UsageError("specify either --knot m,n or --family {D,D'} with --n")
 
 
 def _levels_from_args(args) -> list[int]:
@@ -102,7 +105,7 @@ def cmd_cfe(args) -> int:
     elif args.entries:
         cfe = ContinuedFraction(int(x) for x in args.entries.split(","))
     else:
-        raise SystemExit("give entries 'a1,a2,...' or --alternating g")
+        raise UsageError("give entries 'a1,a2,...' or --alternating g")
     value = cfe_eval(cfe)
     report = {
         "entries": list(cfe.entries),
@@ -119,7 +122,7 @@ def cmd_knot(args) -> int:
     frac = fraction_of(knot)
     delta = alexander(frac)
     cfe = fibered_cfe(frac)
-    fibered = cfe is not NOT_FIBERED
+    fibered = cfe is not None
     report = {
         "knot": str(knot),
         "rolfsen_name": census_mod.rolfsen_name(knot),
@@ -182,12 +185,7 @@ def cmd_tv(args) -> int:
         samples = surgery_sweep(knot, args.slope, levels)
     else:
         samples = complement_sweep(knot, levels)
-    if args.format == "json":
-        _emit(args, json.dumps([asdict(s) for s in samples], sort_keys=True))
-    else:
-        lines = ["r,tv,logslope"]
-        lines += [f"{s.r},{s.tv!r},{s.logslope!r}" for s in samples]
-        _emit(args, "\n".join(lines))
+    _emit(args, json.dumps([asdict(s) for s in samples], sort_keys=True))
     return 0
 
 
@@ -320,12 +318,11 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--output", default=None)
     p.set_defaults(func=cmd_jones)
 
-    p = sub.add_parser("tv", help="Turaev-Viro level sweep (CSV: r, tv, logslope)")
+    p = sub.add_parser("tv", help="Turaev-Viro level sweep (JSON, one object per sample)")
     _add_knot_options(p)
     p.add_argument("--slope", type=_parse_slope, default=None,
                    help="fill along this slope; omit for the complement")
     _add_sweep_options(p)
-    p.add_argument("--format", choices=("json", "csv"), default="csv")
     p.set_defaults(func=cmd_tv)
 
     p = sub.add_parser("ltv", help="growth estimate with census targets (JSON)")
@@ -379,6 +376,8 @@ def main(argv: Optional[list[str]] = None) -> int:
     args = parser.parse_args(_join_negative_values(list(sys.argv[1:] if argv is None else argv)))
     try:
         return args.func(args)
+    except UsageError as exc:
+        parser.error(str(exc))
     except (ValueError, KeyError, ArithmeticError) as exc:
         # str() of a KeyError is the repr of its message
         message = exc.args[0] if isinstance(exc, KeyError) and exc.args else exc

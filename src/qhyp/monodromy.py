@@ -26,7 +26,7 @@ from typing import Sequence
 
 import numpy as np
 
-from .rationals import ContinuedFraction
+from .rationals import ContinuedFraction, alternating_cfe
 from .twistknots import (
     DoubleTwistKnot,
     LaurentPolynomial,
@@ -60,10 +60,6 @@ class TwistWord:
             if exp not in (1, -1):
                 raise ValueError("twist exponents must be +1 or -1")
 
-    def inverse_mirror(self) -> "TwistWord":
-        """Flip the sign of every exponent (the mirror monodromy word)."""
-        return TwistWord(self.genus, tuple((i, -e) for i, e in self.letters))
-
     def __str__(self):
         def fmt(index, exp):
             base = f"T[{curve_name(index)}]"
@@ -72,33 +68,29 @@ class TwistWord:
         return " ".join(fmt(i, e) for i, e in self.letters) or "(empty)"
 
 
-def monodromy_word(g: int) -> TwistWord:
-    """The length-2g word T[c] T[a1] T[b1]^-1 T[a2] ... T[b(g-1)]^-1 T[ag]."""
-    if g < 1:
-        raise ValueError("genus must be positive")
-    letters = [(1, 1), (2, 1)]
-    for i in range(3, 2 * g + 1):
-        letters.append((i, 1 if i % 2 == 0 else -1))
-    return TwistWord(g, tuple(letters))
-
-
-def monodromy_word_mirror(g: int) -> TwistWord:
-    """The exponent-flipped word carried by the mirror knots D(-2g, -3)."""
-    return monodromy_word(g).inverse_mirror()
-
-
 def monodromy_from_cfe(cfe: ContinuedFraction) -> TwistWord:
     """Twist word of the fiber built from an all-(+-2) even-length CFE.
 
     Entry i contributes the chain curve i with the exponent given by the
-    entry's sign; the alternating expansion of D(3, 2g) yields exactly
-    monodromy_word(g), its negation yields the mirror word.
+    entry's sign.
     """
     if len(cfe) % 2 != 0 or any(abs(a) != 2 for a in cfe.entries):
         raise ValueError("monodromy needs an all-(+-2) even-length expansion")
     g = len(cfe) // 2
     letters = tuple((i + 1, 1 if a > 0 else -1) for i, a in enumerate(cfe.entries))
     return TwistWord(g, letters)
+
+
+def monodromy_word(g: int) -> TwistWord:
+    """The word T[c] T[a1] T[b1]^-1 T[a2] ... T[b(g-1)]^-1 T[ag] of D(3, 2g),
+    read off its alternating expansion."""
+    return monodromy_from_cfe(alternating_cfe(g))
+
+
+def monodromy_word_mirror(g: int) -> TwistWord:
+    """The exponent-flipped word of the mirror knots D(-2g, -3), read off
+    the negated alternating expansion."""
+    return monodromy_from_cfe(ContinuedFraction(-a for a in alternating_cfe(g)))
 
 
 # ---------------------------------------------------------------------------

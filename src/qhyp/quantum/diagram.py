@@ -144,10 +144,6 @@ def trace_components(diagram: PlatDiagram) -> list[list[int]]:
     return components
 
 
-def component_count(m: int, n: int) -> int:
-    return len(trace_components(plat_diagram(m, n)))
-
-
 def _passage_directions(diagram: PlatDiagram) -> dict[tuple[int, int], bool]:
     """For each crossing passage (from_node, to_node), whether it is used
     upward (bottom node to top node) by the traced orientation."""
@@ -180,13 +176,6 @@ def writhe(m: int, n: int) -> int:
     return total
 
 
-def signed_crossing_counts(m: int, n: int) -> tuple[int, int]:
-    """(positive, negative) crossing counts under the traced orientation."""
-    w = writhe(m, n)
-    c = len(braid_letters(m, n))
-    return (c + w) // 2, (c - w) // 2
-
-
 __all__ = [
     "REGION_23_SIGN",
     "REGION_12_SIGN",
@@ -197,7 +186,5 @@ __all__ = [
     "braid_letters",
     "plat_diagram",
     "trace_components",
-    "component_count",
     "writhe",
-    "signed_crossing_counts",
 ]

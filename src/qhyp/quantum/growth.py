@@ -84,6 +84,8 @@ def default_levels(r_min: int = 51, r_max: int = 501, r_step: int = 50) -> list[
         raise ValueError("r_min must be odd and at least 5")
     if r_step % 2 != 0 or r_step <= 0:
         raise ValueError("r_step must be a positive even integer")
+    if r_max < r_min:
+        raise ValueError("r_max must be at least r_min")
     return list(range(r_min, r_max + 1, r_step))
 
 

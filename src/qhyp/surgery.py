@@ -233,18 +233,6 @@ def shared_surgery_moves(family: str, n: int):
     return pres["inserted"].coefficient, trace
 
 
-def dn_filling_slope(n: int) -> Slope:
-    """Slope left on the D(2n, -3) component by the move sequence: 4n + 1."""
-    slope, _ = shared_surgery_moves(FAMILY_D, n)
-    return slope
-
-
-def dn_prime_filling_slope(n: int) -> Slope:
-    """Slope left on the D(2n, -2) component by the move sequence: 1."""
-    slope, _ = shared_surgery_moves(FAMILY_D_PRIME, n)
-    return slope
-
-
 EXCEPTIONAL_FIG8_SLOPES = frozenset(
     [INFINITY] + [ExactRational(k) for k in (0, 1, -1, 2, -2, 3, -3, 4, -4)]
 )
@@ -258,30 +246,22 @@ def is_exceptional_fig8_slope(s: Slope) -> bool:
 
 def shared_surgery(family: str, n: int) -> tuple[Slope, Slope]:
     """The (knot slope, figure-eight slope) pair shared by D(2n, -3) or
-    D(2n, -2) with the figure-eight knot.
+    D(2n, -2) with the figure-eight knot: the final slope of
+    shared_surgery_moves and the figure-eight coefficient it starts from,
+    both as ExactRational slopes.
 
-    Family "D": (4n+1, -(4n+1)/n) for n not in {0, -1}; family "D'":
-    (1, -1/n) for n not in {0, 1, -1}.  Excluded n give exceptional
-    figure-eight fillings, checked via is_exceptional_fig8_slope.
+    Raises ExceptionalFillingError when that figure-eight slope is
+    exceptional (family D at n = -1, family D' at n = +-1), and ValueError
+    at n = 0.
     """
-    lk = _family_linking(family)
-    if family == FAMILY_D:
-        excluded = (0, -1)
-        pair = (ExactRational(4 * n + 1), ExactRational(-(4 * n + 1), n) if n else None)
-    else:
-        excluded = (0, 1, -1)
-        pair = (ExactRational(1), ExactRational(-1, n) if n else None)
-    if n in excluded:
-        raise ExceptionalFillingError(
-            f"n = {n} is excluded for family {family}: the figure-eight slope "
-            "would be exceptional"
-        )
-    knot_slope, fig8_slope = pair
+    knot_slope, trace = shared_surgery_moves(family, n)
+    fig8_slope = trace[0][1]["fig8"].coefficient
     if is_exceptional_fig8_slope(fig8_slope):
         raise ExceptionalFillingError(
-            f"figure-eight slope {fig8_slope} is exceptional"
+            f"n = {n} is excluded for family {family}: the figure-eight slope "
+            f"{fig8_slope} is exceptional"
         )
-    return knot_slope, fig8_slope
+    return ExactRational(knot_slope), fig8_slope
 
 
 __all__ = [
@@ -293,8 +273,6 @@ __all__ = [
     "rolfsen_twist",
     "blow_down",
     "shared_surgery_moves",
-    "dn_filling_slope",
-    "dn_prime_filling_slope",
     "is_exceptional_fig8_slope",
     "shared_surgery",
     "FAMILY_D",

@@ -135,13 +135,6 @@ class TwoBridgeFraction:
                 reps.append(r)
         return reps
 
-    def same_knot(self, other: "TwoBridgeFraction") -> bool:
-        if self.denominator != other.denominator:
-            return False
-        alpha = self.denominator
-        b, c = self.numerator % alpha, other.numerator % alpha
-        return b == c or (b * c) % alpha == 1
-
     def __str__(self):
         return str(self.fraction)
 
@@ -157,19 +150,6 @@ def fraction_of(knot: DoubleTwistKnot) -> TwoBridgeFraction:
     if knot.is_unknot:
         raise NotTwoBridgeKnotError(f"{knot} is the unknot, not a two-bridge knot")
     return TwoBridgeFraction(ExactRational(knot.n, knot.m * knot.n - 1))
-
-
-class NotFibered:
-    """Sentinel result: no all-(+-2) even-length expansion exists."""
-
-    def __bool__(self):
-        return False
-
-    def __repr__(self):
-        return "NotFibered"
-
-
-NOT_FIBERED = NotFibered()
 
 
 def _peel_all_two(value: ExactRational) -> Optional[list[int]]:
@@ -196,8 +176,8 @@ def _peel_all_two(value: ExactRational) -> Optional[list[int]]:
     return entries
 
 
-def fibered_cfe(fraction: TwoBridgeFraction):
-    """An all-(+-2) even-length CFE for the knot, or NOT_FIBERED.
+def fibered_cfe(fraction: TwoBridgeFraction) -> Optional[ContinuedFraction]:
+    """An all-(+-2) even-length CFE for the knot, or None if it is not fibered.
 
     A two-bridge knot is fibered exactly when one of its representative
     fractions peels completely into entries +-2 with an even number of
@@ -207,7 +187,7 @@ def fibered_cfe(fraction: TwoBridgeFraction):
         entries = _peel_all_two(rep)
         if entries is not None and len(entries) % 2 == 0 and entries:
             return ContinuedFraction(entries)
-    return NOT_FIBERED
+    return None
 
 
 def fiber_genus(cfe: ContinuedFraction) -> int:
@@ -247,27 +227,6 @@ class LaurentPolynomial:
     def __getitem__(self, exponent: int) -> int:
         return self.coeffs.get(exponent, 0)
 
-    def __add__(self, other):
-        other = _as_laurent(other)
-        merged = dict(self.coeffs)
-        for e, c in other.coeffs.items():
-            merged[e] = merged.get(e, 0) + c
-        return LaurentPolynomial(merged)
-
-    def __neg__(self):
-        return LaurentPolynomial({e: -c for e, c in self.coeffs.items()})
-
-    def __sub__(self, other):
-        return self + (-_as_laurent(other))
-
-    def __mul__(self, other):
-        other = _as_laurent(other)
-        out: dict[int, int] = {}
-        for e1, c1 in self.coeffs.items():
-            for e2, c2 in other.coeffs.items():
-                out[e1 + e2] = out.get(e1 + e2, 0) + c1 * c2
-        return LaurentPolynomial(out)
-
     def __eq__(self, other):
         if not isinstance(other, LaurentPolynomial):
             return NotImplemented
@@ -298,10 +257,9 @@ class LaurentPolynomial:
         span = self.max_exp() - self.min_exp()
         if span % 2 != 0:
             raise ValueError("odd exponent span cannot be symmetrized")
-        centered = self.shift(-(self.max_exp() + self.min_exp()) // 2)
-        if centered[centered.max_exp()] < 0:
-            centered = -centered
-        return centered
+        mid = (self.max_exp() + self.min_exp()) // 2
+        sign = 1 if self[self.max_exp()] > 0 else -1
+        return LaurentPolynomial({e - mid: sign * c for e, c in self.coeffs.items()})
 
     def equals_up_to_units(self, other: "LaurentPolynomial") -> bool:
         """Equality up to multiplication by +-t^k."""
@@ -341,19 +299,6 @@ class LaurentPolynomial:
         return f"LaurentPolynomial({self})"
 
 
-def _as_laurent(x) -> LaurentPolynomial:
-    if isinstance(x, LaurentPolynomial):
-        return x
-    if isinstance(x, int):
-        return LaurentPolynomial({0: x})
-    raise TypeError(f"cannot coerce {x!r} to a LaurentPolynomial")
-
-
-T = LaurentPolynomial({1: 1})
-T_INV = LaurentPolynomial({-1: 1})
-ONE = LaurentPolynomial({0: 1})
-
-
 def is_monic(poly: LaurentPolynomial) -> bool:
     """True when the leading coefficient is +-1."""
     if poly.is_zero:
@@ -384,18 +329,18 @@ def alexander(fraction: TwoBridgeFraction) -> LaurentPolynomial:
     q = fraction.numerator % p
     if q % 2 == 0:
         q -= p
-    # phi(dw/da): sum over the a-letters of w of +-t^(prefix exponent sum)
-    contrib: dict[int, int] = {}
+    # phi(dw/da) is a sum over the a-letters of w of eps * t^(prefix
+    # exponent sum); each term eps * t^k adds (t - 1) * eps * t^k to Delta
+    delta = {0: 1}
     prefix = 0
     for i in range(1, p):
         eps = (-1) ** ((i * q) // p)
         if i % 2 == 0:
-            exponent = prefix if eps == 1 else prefix - 1
-            contrib[exponent] = contrib.get(exponent, 0) + eps
+            k = prefix if eps == 1 else prefix - 1
+            delta[k + 1] = delta.get(k + 1, 0) + eps
+            delta[k] = delta.get(k, 0) - eps
         prefix += eps
-    dw_da = LaurentPolynomial(contrib)
-    delta = ONE + (T - ONE) * dw_da
-    return delta.normalized()
+    return LaurentPolynomial(delta).normalized()
 
 
 def alexander_genus1_seifert(a: int, b: int) -> LaurentPolynomial:
@@ -424,8 +369,6 @@ __all__ = [
     "TwoBridgeFraction",
     "LaurentPolynomial",
     "NotTwoBridgeKnotError",
-    "NotFibered",
-    "NOT_FIBERED",
     "mirror",
     "fraction_of",
     "fibered_cfe",

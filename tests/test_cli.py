@@ -41,7 +41,7 @@ def test_negative_values_stay_values(capsys, tmp_path):
     assert code == 0
     _, joined = run_cli(capsys, "tv", "--knot=-2,2", "--slope=-7/2", *levels)
     assert out == joined
-    assert len(out.splitlines()) == 5
+    assert len(json.loads(out)) == 4
 
 
 def test_knot_report(capsys):
@@ -73,12 +73,14 @@ def test_jones(capsys):
     assert blob["abs"] == pytest.approx(0.356896, abs=1e-5)
 
 
-def test_tv_csv_and_determinism(capsys):
+def test_tv_json_and_determinism(capsys):
     args = ("tv", "--knot", "2,-2", "--r-min", "5", "--r-max", "15", "--r-step", "2")
     code, out1 = run_cli(capsys, *args)
     assert code == 0
-    assert out1.splitlines()[0] == "r,tv,logslope"
-    assert len(out1.splitlines()) == 7
+    samples = json.loads(out1)
+    assert [sample["r"] for sample in samples] == [5, 7, 9, 11, 13, 15]
+    names = {f.name for f in fields(TVSample)}
+    assert all(set(sample) == names for sample in samples)
     _, out2 = run_cli(capsys, *args)
     assert out1 == out2
 
@@ -144,9 +146,26 @@ LEVELS = ("--r-min", "11", "--r-max", "17", "--r-step", "2")  # quick if accepte
         ("ltv", "--knot", "2,-2", "--tolerance", "1") + LEVELS,
         ("ltv", "--knot", "2,-2", "--format", "json") + LEVELS,
         ("ltv", "--knot", "2,-2", "--format", "csv") + LEVELS,
+        ("tv", "--knot", "2,-2", "--format", "json") + LEVELS,
+        ("tv", "--knot", "2,-2", "--format", "csv") + LEVELS,
     ],
 )
 def test_removed_options_are_usage_errors(argv):
+    with pytest.raises(SystemExit) as err:
+        main(list(argv))
+    assert err.value.code == 2
+
+
+@pytest.mark.parametrize(
+    "argv",
+    [
+        ("knot",),  # no knot at all
+        ("knot", "--family", "D"),  # a family without its n
+        ("cfe",),  # no entries and no --alternating
+        ("knot", "--knot", "2,-2", "--family", "D", "--n", "1"),  # two knots
+    ],
+)
+def test_knot_and_cfe_arguments_are_usage_errors(argv):
     with pytest.raises(SystemExit) as err:
         main(list(argv))
     assert err.value.code == 2

@@ -56,6 +56,12 @@ def test_default_levels_validation():
         default_levels(51, 201, 25)
 
 
+def test_empty_sweep_is_rejected():
+    assert default_levels(51, 51, 50) == [51]
+    with pytest.raises(ValueError):
+        default_levels(51, 41, 50)
+
+
 def test_sweeps_are_sorted_and_keyed():
     samples = complement_sweep(FIG8, (31, 11, 21, 41))
     assert [s.r for s in samples] == [11, 21, 31, 41]

@@ -4,7 +4,7 @@ import random
 import mpmath as mp
 import pytest
 
-from qhyp.quantum.diagram import component_count, region_twists, writhe
+from qhyp.quantum.diagram import plat_diagram, region_twists, trace_components, writhe
 from qhyp.quantum.jones import (
     CONDITION_LIMIT,
     _figure_eight_sum,
@@ -41,7 +41,7 @@ def test_template_components():
     for m in range(-4, 5):
         for n in range(-4, 5):
             expected = 2 if (m % 2 and n % 2) else 1
-            assert component_count(m, n) == expected
+            assert len(trace_components(plat_diagram(m, n))) == expected
 
 
 def test_unknots_give_one():
@@ -310,13 +310,3 @@ def test_color_bounds():
         colored_jones(FIG8, 0, ctx)
     with pytest.raises(ValueError):
         colored_jones(DoubleTwistKnot(3, 3), 2, ctx)  # a link
-
-
-def test_writhe_matches_letter_signs():
-    # writhe plus/minus counts recover the letter count
-    from qhyp.quantum.diagram import braid_letters, signed_crossing_counts
-
-    for m, n in [(2, -2), (2, 2), (4, -3), (-4, -3), (0, 5)]:
-        pos, neg = signed_crossing_counts(m, n)
-        assert pos + neg == len(braid_letters(m, n))
-        assert pos - neg == writhe(m, n)

@@ -20,8 +20,12 @@ from qhyp.monodromy import (
 def test_words():
     assert monodromy_word(1).letters == ((1, 1), (2, 1))
     assert monodromy_word_mirror(2).letters == ((1, -1), (2, -1), (3, 1), (4, -1))
-    w = monodromy_word(3)
-    assert w.inverse_mirror().inverse_mirror() == w
+    for g in range(1, 9):
+        # T[c] T[a1] T[b1]^-1 T[a2] ... T[ag], and its exponent flip
+        letters = ((1, 1),) + tuple((i, 1 if i % 2 == 0 else -1) for i in range(2, 2 * g + 1))
+        assert monodromy_word(g) == TwistWord(g, letters)
+        flipped = tuple((i, -e) for i, e in letters)
+        assert monodromy_word_mirror(g) == TwistWord(g, flipped)
     with pytest.raises(ValueError):
         monodromy_word(0)
 

@@ -14,7 +14,7 @@ from qhyp.rationals import (
     minus_cfe,
     reciprocal,
 )
-from qhyp.surgery import dn_filling_slope, is_exceptional_fig8_slope
+from qhyp.surgery import is_exceptional_fig8_slope, shared_surgery_moves
 
 
 def test_reduction_and_sign():
@@ -54,8 +54,9 @@ def test_computed_slopes_match_constructed_ones():
     assert not isinstance(computed, ExactRational)
     assert computed == ExactRational(-4) and hash(computed) == hash(ExactRational(-4))
     assert is_exceptional_fig8_slope(computed)
-    assert not isinstance(dn_filling_slope(2), ExactRational)
-    assert len({ExactRational(9), dn_filling_slope(2)}) == 1
+    moved = shared_surgery_moves("D", 2)[0]
+    assert not isinstance(moved, ExactRational)
+    assert len({ExactRational(9), moved}) == 1
     assert reciprocal(ExactRational(-2, 7)) + Fraction(7, 2) == ExactRational(0)
     for s in (ExactRational(0), ExactRational(1), ExactRational(-1), Fraction(5, 3)):
         assert INFINITY != s and s != INFINITY

@@ -10,8 +10,6 @@ from qhyp.surgery import (
     SurgeryPresentation,
     UnknownComponentError,
     blow_down,
-    dn_filling_slope,
-    dn_prime_filling_slope,
     is_exceptional_fig8_slope,
     rolfsen_twist,
     shared_surgery,
@@ -73,14 +71,14 @@ def test_blow_down_examples():
 
 
 def test_move_pipelines():
-    assert dn_filling_slope(2) == ExactRational(9)
-    assert dn_filling_slope(-3) == ExactRational(-11)
-    assert dn_filling_slope(1) == ExactRational(5)
+    assert shared_surgery_moves("D", 2)[0] == ExactRational(9)
+    assert shared_surgery_moves("D", -3)[0] == ExactRational(-11)
+    assert shared_surgery_moves("D", 1)[0] == ExactRational(5)
     for n in range(-10, 11):
         if n == 0:
             continue
-        assert dn_filling_slope(n) == ExactRational(4 * n + 1)
-        assert dn_prime_filling_slope(n) == ExactRational(1)
+        assert shared_surgery_moves("D", n)[0] == ExactRational(4 * n + 1)
+        assert shared_surgery_moves("D'", n)[0] == ExactRational(1)
 
 
 def test_move_trace_is_reported():
@@ -107,10 +105,23 @@ def test_exceptional_set():
 def test_shared_surgery():
     assert shared_surgery("D", -4) == (ExactRational(-15), ExactRational(-15, 4))
     assert shared_surgery("D'", 3) == (ExactRational(1), ExactRational(-1, 3))
-    with pytest.raises(ExceptionalFillingError):
-        shared_surgery("D", -1)
-    with pytest.raises(ExceptionalFillingError):
-        shared_surgery("D'", 1)
+    # the move replay reproduces the paper's pairs wherever they are hyperbolic
+    literal = {
+        "D": lambda n: (ExactRational(4 * n + 1), ExactRational(-(4 * n + 1), n)),
+        "D'": lambda n: (ExactRational(1), ExactRational(-1, n)),
+    }
+    exceptional = {("D", -1), ("D'", 1), ("D'", -1)}
+    for family, pair in literal.items():
+        for n in [k for k in range(-10, 11) if k]:
+            if (family, n) in exceptional:
+                with pytest.raises(ExceptionalFillingError):
+                    shared_surgery(family, n)
+                continue
+            got = shared_surgery(family, n)
+            assert got == pair(n)
+            assert all(isinstance(s, ExactRational) for s in got)
+        with pytest.raises(ValueError):
+            shared_surgery(family, 0)
 
 
 def test_twists_invert_random():

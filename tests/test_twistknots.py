@@ -6,7 +6,6 @@ from qhyp.rationals import ContinuedFraction, ExactRational, alternating_cfe
 from qhyp.twistknots import (
     DoubleTwistKnot,
     LaurentPolynomial,
-    NOT_FIBERED,
     NotTwoBridgeKnotError,
     TwoBridgeFraction,
     alexander,
@@ -33,8 +32,8 @@ def test_fractions():
     assert str(fraction_of(DoubleTwistKnot(2, -2))) == "2/5"
     assert str(fraction_of(DoubleTwistKnot(2, 2))) == "2/3"
     # figure-eight from either sign convention describes the same knot
-    assert fraction_of(DoubleTwistKnot(2, -2)).same_knot(
-        fraction_of(DoubleTwistKnot(-2, 2))
+    assert set(fraction_of(DoubleTwistKnot(2, -2)).representatives()) == set(
+        fraction_of(DoubleTwistKnot(-2, 2)).representatives()
     )
 
 
@@ -62,7 +61,7 @@ def test_fibered_cfe():
         cfe = fibered_cfe(fraction_of(DoubleTwistKnot(3, 2 * g)))
         assert cfe == alternating_cfe(g)
         assert fiber_genus(cfe) == g
-    assert fibered_cfe(fraction_of(DoubleTwistKnot(4, -2))) is NOT_FIBERED
+    assert fibered_cfe(fraction_of(DoubleTwistKnot(4, -2))) is None
 
 
 def test_fiber_genus_validation():
