@@ -61,6 +61,13 @@ def _parse_knot(text: str) -> DoubleTwistKnot:
     return DoubleTwistKnot(m, n)
 
 
+def _parse_entries(text: str) -> ContinuedFraction:
+    try:
+        return ContinuedFraction(int(part) for part in text.split(","))
+    except ValueError as exc:
+        raise argparse.ArgumentTypeError(f"bad entries {text!r}: {exc}") from None
+
+
 def _parse_slope(text: str) -> ExactRational:
     try:
         return ExactRational.parse(text)
@@ -100,12 +107,7 @@ def _levels_from_args(args) -> list[int]:
 
 
 def cmd_cfe(args) -> int:
-    if args.alternating is not None:
-        cfe = alternating_cfe(args.alternating)
-    elif args.entries:
-        cfe = ContinuedFraction(int(x) for x in args.entries.split(","))
-    else:
-        raise UsageError("give entries 'a1,a2,...' or --alternating g")
+    cfe = args.entries if args.alternating is None else alternating_cfe(args.alternating)
     value = cfe_eval(cfe)
     report = {
         "entries": list(cfe.entries),
@@ -291,10 +293,11 @@ def build_parser() -> argparse.ArgumentParser:
     sub = parser.add_subparsers(dest="command", required=True)
 
     p = sub.add_parser("cfe", help="evaluate a continued fraction expansion")
-    p.add_argument("entries", nargs="?", default=None,
-                   help="comma-separated nonzero integers")
-    p.add_argument("--alternating", type=int, default=None,
-                   help="build the length-2g alternating expansion instead")
+    given = p.add_mutually_exclusive_group(required=True)
+    given.add_argument("entries", nargs="?", type=_parse_entries, default=None,
+                       help="comma-separated nonzero integers")
+    given.add_argument("--alternating", type=int, default=None,
+                       help="build the length-2g alternating expansion instead")
     p.add_argument("--output", default=None)
     p.set_defaults(func=cmd_cfe)
 

@@ -9,6 +9,9 @@ the unknot-normalized value at t = q^2 emerges.  The double engine
 (_fusion_log_double, over recoupling_level(r)) and its mpmath twin
 (fusion_value_mp) sum this one decomposition.
 
+At t = e^(4 pi i / r), J'_{r-N} = J'_N (Kirby and Melvin, Invent. Math.
+105, 1991), so every engine folds its color onto N <= (r-1)/2 (_fold_color).
+
 The channel coefficients are mildly exponential in the color while the
 value itself can be exponentially smaller, so the double sum cancels.  Each
 evaluation tracks its cancellation ratio (sum of term magnitudes over the
@@ -16,13 +19,13 @@ result magnitude); colors whose ratio crosses CONDITION_LIMIT are recomputed
 under mpmath with digits to spare.  Values move around as (log-magnitude,
 phase) pairs so large levels neither overflow nor lose growth information.
 
-The figure-eight knot has a classical expansion whose terms are products of
-bounded sine factors, one loop in either arithmetic (_figure_eight_sum); it
-doubles as an independent cross-check of the fusion engine and as the fast
-path for the figure-eight level sweeps.  Both evaluators escalate through
-one helper (_escalate), and every path reads its roots of unity from one
-level table per arithmetic: recoupling_level(r) in doubles, _mp_level(r, dps)
-under mpmath.
+The figure-eight knot has a classical expansion whose terms are real
+products of quantized integers, one loop in either arithmetic
+(_figure_eight_sum); it doubles as an independent cross-check of the fusion
+engine and as the fast path for the figure-eight level sweeps.  Both
+evaluators escalate through one helper (_escalate), and every path reads
+its roots of unity from one level table per arithmetic, holding [k] for
+k < r: recoupling_level(r) in doubles, _mp_level(r, dps) under mpmath.
 """
 
 from __future__ import annotations
@@ -61,21 +64,15 @@ class LogComplex:
             return 0j
         return self.phase * float(np.exp(min(self.log_abs, 700.0)))
 
-    @classmethod
-    def from_complex(cls, z: complex, condition: float = 1.0, precision: str = "double"):
-        if z == 0:
-            return cls(-math.inf, 1.0 + 0j, condition, precision)
-        return cls(math.log(abs(z)), z / abs(z), condition, precision)
-
 
 @lru_cache(maxsize=64)
 def _writhe_cached(m: int, n: int) -> int:
     return writhe(m, n)
 
 
-def _require_knot_color(knot: DoubleTwistKnot, color: int, r: int) -> None:
-    if knot.is_link:
-        raise ValueError(f"{knot} is a two-component link, not a knot")
+def _fold_color(color: int, r: int) -> int:
+    """The strand color a <= (r-3)/2 with the same value, r - 2 - a past
+    the half level; checked first, since folded N = r would give J'_0 = 1."""
     if color < 0:
         raise ValueError("strand color must be non-negative")
     if color > r - 2:
@@ -83,6 +80,7 @@ def _require_knot_color(knot: DoubleTwistKnot, color: int, r: int) -> None:
             f"strand color {color} (dimension {color + 1}) exceeds the "
             f"level-{r} range; colors run up to r - 2 = {r - 2}"
         )
+    return r - 2 - color if 2 * color > r - 3 else color
 
 
 def _fusion_log_double(knot: DoubleTwistKnot, color: int, r: int) -> LogComplex:
@@ -91,10 +89,10 @@ def _fusion_log_double(knot: DoubleTwistKnot, color: int, r: int) -> LogComplex:
     The sum of w_i h_i^x T_ij w_j h_j^y over channel pairs, with weights w
     and bare tetrahedral coefficients T from the level table and half-twist
     eigenvalues h, times the framing and over loop(a) = (-1)^a [a+1]: the
-    decomposition fusion_value_mp sums under mpmath.
+    decomposition fusion_value_mp sums under mpmath, at the folded color.
     """
     level = recoupling_level(r)
-    a = color
+    a = _fold_color(color, r)
     if a == 0:
         return LogComplex(0.0, 1.0 + 0j)
     log_w, sign_w = level.weights(a)
@@ -113,13 +111,14 @@ def _fusion_log_double(knot: DoubleTwistKnot, color: int, r: int) -> LogComplex:
         return LogComplex(-math.inf, 1.0 + 0j, condition)
     frame = level.framing(a) ** (-_writhe_cached(knot.m, knot.n))
     log_abs = peak + math.log(abs(total)) - float(level.log_int[a + 1])
-    phase = total / abs(total) * frame * (-1) ** a * int(level.sign_int[a + 1])
+    phase = total / abs(total) * frame * (-1) ** a  # [a+1] > 0 below the half level
     return LogComplex(log_abs, complex(phase), condition)
 
 
 def _fusion_log(knot: DoubleTwistKnot, color: int, r: int) -> LogComplex:
     """Fusion evaluation with automatic escalation to extended precision."""
-    _require_knot_color(knot, color, r)
+    if knot.is_link:
+        raise ValueError(f"{knot} is a two-component link, not a knot")
     fast = _fusion_log_double(knot, color, r)
     if fast.condition <= CONDITION_LIMIT:
         return fast
@@ -144,17 +143,19 @@ def _escalate(condition: float, evaluate, label: str) -> LogComplex:
     return LogComplex(log_abs, phase, condition, f"{label}{dps}")
 
 
-def _figure_eight_sum(N: int, braces, one):
+def _figure_eight_sum(N: int, level, one):
     """The figure-eight expansion and its largest partial product.
 
-    Sums prod_{j<=k} {N-j}{N+j} over k = 0 .. N-1, where braces[x] holds
-    {x} = t^(x/2) - t^(-x/2) for x < 2N; one is 1 in the caller's arithmetic.
+    Sums prod_{j<=k} {N-j}{N+j} over k = 0 .. N-1, with {x} = t^(x/2) -
+    t^(-x/2) = {1} [x]: each factor is the real {1}^2 [N-j][N+j], read from
+    the level table's qint and brace_sq; one is 1 in the table's arithmetic.
     """
+    qint = level.qint
     total = one
     product = one
     peak = 1.0
     for j in range(1, N):
-        product *= braces[N - j] * braces[N + j]
+        product *= level.brace_sq * qint[N - j] * qint[N + j]
         peak = max(peak, abs(product))
         total += product
     return total, peak
@@ -163,17 +164,19 @@ def _figure_eight_sum(N: int, braces, one):
 def figure_eight_log(N: int, r: int) -> LogComplex:
     """Figure-eight evaluation at any color dimension N <= r - 1.
 
-    The expansion's terms are bounded sine products, but the value can dip
-    far below the largest partial product.  This is common:
+    N past (r - 1)/2 is folded to r - N.  The expansion's terms are real
+    products of quantized integers, but the value can dip far below the
+    largest partial product.  This is common:
     1707 of the (N, r) pairs with N <= (r - 1)/2 and odd r <= 201 escalate,
     the first at N = 13, r = 57.  Such spots are detected through the same
     cancellation ratio used by the fusion engine and recomputed under mpmath.
-    The braces, exact zeros included, come from recoupling_level(r).
     """
-    total, peak = _figure_eight_sum(N, recoupling_level(r).braces, 1.0 + 0.0j)
+    n = _fold_color(N - 1, r) + 1
+    total, peak = _figure_eight_sum(n, recoupling_level(r), 1.0)
     condition = peak / abs(total) if total != 0 else math.inf
     if condition <= CONDITION_LIMIT:
-        return LogComplex.from_complex(total, condition, "fig8-sum")
+        phase = complex(math.copysign(1.0, total))
+        return LogComplex(math.log(abs(total)), phase, condition, "fig8-sum")
     return _escalate(
         condition, lambda dps: figure_eight_cross_sum_mp(N, r, dps), "fig8-mp"
     )
@@ -183,9 +186,9 @@ def colored_jones(knot: DoubleTwistKnot, N: int, ctx: RootOfUnityContext) -> com
     """Normalized N-colored Jones value J'_N at t = q^2, J'_N(unknot) = 1.
 
     N is the dimension of the strand color (N = 2 is the Jones polynomial);
-    colors exist for N - 1 <= r - 2.  The fusion engine evaluates it, in
-    doubles or, past CONDITION_LIMIT, under mpmath.  Two-component links are
-    rejected.
+    colors exist for N - 1 <= r - 2.  The fusion engine evaluates it at
+    r - N past N = (r - 1)/2, in doubles or, past CONDITION_LIMIT, under
+    mpmath.  Two-component links are rejected.
     """
     if N < 1:
         raise ValueError("the color dimension N must be a positive integer")
@@ -204,10 +207,11 @@ def jones_log_all_colors(knot: DoubleTwistKnot, r: int, colors) -> list[LogCompl
 
 
 def figure_eight_cross_sum_mp(N: int, r: int, dps: int):
-    """The figure-eight expansion under mpmath, over the braces of the
+    """The real figure-eight expansion under mpmath at N, folded, over the
     shared level table _mp_level(r, dps)."""
+    n = _fold_color(N - 1, r) + 1
     with mp.workdps(dps):
-        return _figure_eight_sum(N, _mp_level(r, dps).braces, mp.mpc(1))[0]
+        return _figure_eight_sum(n, _mp_level(r, dps), mp.mpf(1))[0]
 
 
 def jones_value_mp(knot: DoubleTwistKnot, color: int, r: int, dps: int):
@@ -227,7 +231,7 @@ def jones_value_mp(knot: DoubleTwistKnot, color: int, r: int, dps: int):
 
 
 class _MpLevel:
-    """Quantized-integer factorial tables at level r in mpmath arithmetic.
+    """Quantized integers and factorials [k], [k]! for k < r under mpmath.
 
     The one place the package evaluates mpmath sines and exponentials: the
     fusion twin, the figure-eight expansion and the surgery state sum all
@@ -239,34 +243,22 @@ class _MpLevel:
         self.dps = dps
         with mp.workdps(dps):
             unit = mp.sin(2 * mp.pi / r)
-            kmax = 2 * r + 2
-            self.qint = [mp.mpf(0)] * (kmax + 1)
-            self.fac = [mp.mpf(1)] * (kmax + 1)
-            for k in range(kmax + 1):
-                self.qint[k] = mp.sin(2 * mp.pi * k / r) / unit
-                if k >= 1:
-                    self.fac[k] = self.fac[k - 1] * self.qint[k]
-
-    @cached_property
-    def braces(self) -> list:
-        """{x} = t^(x/2) - t^(-x/2) = 2i sin(2 pi / r) [x], exactly 0 at r | x.
-
-        Built on first use: most levels serve the fusion twin only.
-        """
-        with mp.workdps(self.dps):
-            unit = 2j * mp.sin(2 * mp.pi / self.r)
-            return [
-                unit * q if k % self.r else mp.mpc(0) for k, q in enumerate(self.qint)
-            ]
+            #: {1}^2 = -4 sin^2(2 pi / r), for the figure-eight expansion
+            self.brace_sq = -4 * unit**2
+            self.qint = [mp.sin(2 * mp.pi * k / r) / unit for k in range(r)]
+            self.fac = [mp.mpf(1)] * r
+            for k in range(1, r):
+                self.fac[k] = self.fac[k - 1] * self.qint[k]
 
     @cached_property
     def inv_fac_sq(self) -> list:
-        """1/[k]!^2 for k <= r - 1 as raw mpmath tuples, for the fusion twin.
+        """1/[k]!^2 for k < r as raw mpmath tuples, for the fusion twin.
 
-        [k]! for k >= r holds the rounding-size [r], so it is left out.
+        Built on first use: levels that serve only the figure-eight
+        expansion or the surgery state sum never read it.
         """
         with mp.workdps(self.dps):
-            return [(1 / self.fac[k] ** 2)._mpf_ for k in range(self.r)]
+            return [(1 / f**2)._mpf_ for f in self.fac]
 
     def loop(self, c: int):
         return (-1 if c % 2 else 1) * self.qint[c + 1]
@@ -285,7 +277,8 @@ def _mp_level(r: int, dps: int) -> _MpLevel:
 
 
 def fusion_value_mp(knot: DoubleTwistKnot, color: int, r: int, dps: int):
-    """mpmath evaluation of the fusion formula at strand color a.
+    """mpmath evaluation of the fusion formula at strand color a, folded
+    to a <= (r-3)/2 first.
 
     The double sum runs over channel pairs c = 2i, d = 2j with weights
     U_i = w_i h_i^x and V_j = w_j h_j^y, where h is the half-twist
@@ -298,15 +291,15 @@ def fusion_value_mp(knot: DoubleTwistKnot, color: int, r: int, dps: int):
     G[s] = (-1)^s [s+1]! / [2a-s]! and F = 1/[k]!^2, formed from exact
     products of the raw mantissas and rounded once to the working precision.
     """
+    a = _fold_color(color, r)
     level = _mp_level(r, dps)
     with mp.workdps(dps):
-        a = color
         if a == 0:
             return mp.mpc(1)
         fac, prec = level.fac, mp.mp.prec
         x, y = region_twists(knot.m, knot.n)
         U, V = [], []
-        for i in range(min(a, r - 2 - a) + 1):
+        for i in range(a + 1):
             # loop(2i) / theta(a, 2i) * [i]!^4 [a-i]!^2 / ([2i]! [a]!^2)
             weight = (-1) ** (a + i) * level.qint[2 * i + 1] * fac[i] ** 2
             weight *= fac[a - i] / fac[a + i + 1]
@@ -314,22 +307,21 @@ def fusion_value_mp(knot: DoubleTwistKnot, color: int, r: int, dps: int):
             U.append(weight * h**x)
             V.append(weight * h**y)
         F = level.inv_fac_sq
-        smax = min(2 * a, r - 2)
         G = {
             s: ((-1) ** s * fac[s + 1] / fac[2 * a - s])._mpf_
-            for s in range(a, smax + 1)
+            for s in range(a, 2 * a + 1)
         }
         total = mp.mpc(0)
         n = len(U)
         for i in range(n):
             # G[s] F[s-a-i], exact, shared by every pair (i, j)
-            H = {s: mpf_mul(G[s], F[s - a - i]) for s in range(a + i, smax + 1)}
+            H = {s: mpf_mul(G[s], F[s - a - i]) for s in range(a + i, 2 * a + 1)}
             row = [
                 mp.make_mpf(
                     mpf_sum(
                         [
                             mpf_mul(mpf_mul(H[s], F[s - a - j]), F[a + i + j - s])
-                            for s in range(a + j, min(a + i + j, smax) + 1)
+                            for s in range(a + j, min(a + i + j, 2 * a) + 1)
                         ],
                         prec,
                         round_nearest,

@@ -1,9 +1,9 @@
 """Level-r recoupling data for the fusion evaluation of colored Jones values.
 
 Everything is built from the real quantized integers [k] = sin(2 pi k / r) /
-sin(2 pi / r) of the level-r theory at odd r; for odd r these vanish only
-when k is a multiple of r, so all admissible networks below are finite and
-nonzero exactly where the classical theory says they are.
+sin(2 pi / r), k < r, of the level-r theory at odd r.  Colors are folded onto
+a <= (r-3)/2 (jones._fold_color), so every factorial read, [k]! for
+k <= 2a + 1 < r, is finite and nonzero.
 
 The fusion sum is the Kauffman-Lins recoupling sum with the loop, theta and
 tetrahedral prefactors folded into one weight per channel (weights) and a
@@ -33,16 +33,15 @@ class RecouplingLevel:
         if r < 3 or r % 2 == 0:
             raise ValueError("level r must be odd and at least 3")
         self.r = r
-        k = np.arange(2 * r + 3)
-        sines = np.where(k % r == 0, 0.0, np.sin(2 * np.pi * k / r))
-        #: signed [k] for k <= 2r + 2, exactly 0 at multiples of r
-        self.qint = sines / sines[1]
-        #: {k} = t^(k/2) - t^(-k/2) = 2i sin(2 pi / r) [k], for the
-        #: figure-eight expansion; exactly 0 at multiples of r
-        self.braces = (2j * sines).tolist()
-        self.sign_int = np.sign(self.qint).astype(int)
+        sines = np.sin(2 * np.pi * np.arange(r) / r)
+        qint = sines / sines[1]
+        #: signed [k] for k < r, a list: the figure-eight loop runs on floats
+        self.qint = qint.tolist()
+        #: {1}^2 = -4 sin^2(2 pi / r), for the figure-eight expansion
+        self.brace_sq = -4 * float(sines[1]) ** 2
+        self.sign_int = np.sign(qint).astype(int)
         with np.errstate(divide="ignore"):
-            self.log_int = np.log(np.abs(self.qint))
+            self.log_int = np.log(np.abs(qint))
         # factorial tables; index k holds [k]!
         self.log_fac = np.concatenate([[0.0], np.cumsum(self.log_int[1:])])
         self.sign_fac = np.concatenate([[1], np.cumprod(self.sign_int[1:])]).astype(
@@ -56,11 +55,11 @@ class RecouplingLevel:
 
             w_i = (-1)^(a+i) [2i+1] [i]!^2 [a-i]! / [a+i+1]!,
 
-        over the admissible channels c = 2i, i = 0 .. min(a, r-2-a).
+        over the channels c = 2i, i = 0 .. a, of a color a <= (r-3)/2.
         """
-        if not 0 <= a <= self.r - 2:
-            raise ValueError(f"color {a} outside the level-{self.r} range")
-        i = np.arange(min(a, self.r - 2 - a) + 1)
+        if not 0 <= a <= (self.r - 3) // 2:
+            raise ValueError(f"color {a} outside the level-{self.r} half range")
+        i = np.arange(a + 1)
         log = (
             self.log_int[2 * i + 1]
             + 2 * self.log_fac[i]
@@ -82,15 +81,15 @@ class RecouplingLevel:
 
         with G[s] = (-1)^s [s+1]! / [2a-s]! and F[k] = 1/[k]!^2, over the
         channel pairs of weights(a); s runs from a + max(i, j) to
-        min(a+i+j, 2a, r-2), past which [s+1]! vanishes at the root.
+        min(a+i+j, 2a).
         """
-        n = min(a, self.r - 2 - a) + 1
+        n = a + 1
         j = np.arange(n)
         log, sign = np.empty((n, n)), np.empty((n, n), dtype=int)
         for i in range(n):
             # one row of channel pairs at a time: terms indexed (s, j)
             smin = a + np.maximum(i, j)
-            smax = np.minimum(np.minimum(a + i + j, 2 * a), self.r - 2)
+            smax = np.minimum(a + i + j, 2 * a)
             s = np.arange(a + i, int(smax.max()) + 1)[:, None]
             ok = (s >= smin) & (s <= smax)
             s_safe = np.where(ok, s, smin)

@@ -163,6 +163,8 @@ def test_removed_options_are_usage_errors(argv):
         ("knot", "--family", "D"),  # a family without its n
         ("cfe",),  # no entries and no --alternating
         ("knot", "--knot", "2,-2", "--family", "D", "--n", "1"),  # two knots
+        ("cfe", "3,-2", "--alternating", "2"),  # entries and --alternating
+        ("cfe", "1,x"),  # an entry that is not an integer
     ],
 )
 def test_knot_and_cfe_arguments_are_usage_errors(argv):

@@ -1,3 +1,4 @@
+import cmath
 import math
 import random
 
@@ -15,6 +16,8 @@ from qhyp.quantum.jones import (
     figure_eight_cross_sum_mp,
     figure_eight_log,
     fusion_value_mp,
+    jones_log_all_colors,
+    jones_value_mp,
 )
 from qhyp.quantum.oracles import (
     OracleTooExpensiveError,
@@ -133,8 +136,7 @@ def test_mp_twins_match_double():
         a = complex(figure_eight_cross_sum_mp(N, 21, 40))
         b = figure_eight_log(N, 21).to_complex()
         assert abs(a - b) <= 1e-10 * max(1.0, abs(b))
-    # every color whose double sum is trusted, past the half level too,
-    # where the tetrahedral sums are clipped at s = r - 2
+    # every color whose double sum is trusted, past the half level too
     for knot in (DoubleTwistKnot(2, -3), DoubleTwistKnot(-4, -3)):
         for color in range(40):
             double = _fusion_log_double(knot, color, 41)
@@ -220,28 +222,67 @@ def test_fusion_twin_keeps_its_digits():
         assert abs(complex((a - b) / b)) <= 1e-15, (knot, r, color)
 
 
+def _figure_eight_unfolded_mp(N, r, dps):
+    """The figure-eight expansion at N as written, without folding N onto
+    the half level: from N = (r+1)/2 on it meets the factor {r}, taken as an
+    exact 0 here, since its rounding error would be amplified by the later
+    factors."""
+    with mp.workdps(dps):
+
+        def brace(x):  # {x} = t^(x/2) - t^(-x/2) at t = e^(4 pi i / r)
+            return mp.mpc(0) if x % r == 0 else 2j * mp.sin(2 * mp.pi * x / r)
+
+        total = product = mp.mpc(1)
+        for j in range(1, N):
+            product *= brace(N - j) * brace(N + j)
+            total += product
+        return total
+
+
 def test_figure_eight_log_past_half_level():
-    # the surgery state sum uses these colors (N up to r - 2); from
-    # N = (r+1)/2 on the expansion meets the factor {r}, which must be an
-    # exact 0 or the later factors amplify its rounding error unseen
+    # the surgery state sum uses these colors (N up to r - 2), which the
+    # engines fold to r - N; the reference sums them unfolded
     for r in (101, 151):
         for N in range((r + 1) // 2, r):
-            a = complex(figure_eight_cross_sum_mp(N, r, 80))
+            a = complex(_figure_eight_unfolded_mp(N, r, 80))
             b = figure_eight_log(N, r).to_complex()
             assert abs(a - b) <= 1e-10 * max(1.0, abs(a)), (N, r)
 
 
-def test_level_braces_match_the_mp_level():
-    # the double table's {k} against the mpmath level's, exact zeros at r | k
+def test_colors_fold_onto_the_half_level():
+    # J'_{r-N} = J'_N: both colors run the same sums, so the values agree
+    # bit for bit, and the top color r - 1 is the trivial color's 1
+    for knot in (DoubleTwistKnot(2, -3), DoubleTwistKnot(2, 2), FIG8):
+        for r in (21, 31):
+            ctx = RootOfUnityContext(r)
+            for N in range(1, r):
+                assert colored_jones(knot, r - N, ctx) == colored_jones(knot, N, ctx)
+            assert colored_jones(knot, r - 1, ctx) == 1
+    for r in (21, 57):
+        assert jones_log_all_colors(FIG8, r, range(r - 1)) == jones_log_all_colors(
+            FIG8, r, range(r - 2, -1, -1)
+        )
+    # the channel weights exist only up to the half level
+    level = recoupling_level(21)
+    level.weights(9)
+    with pytest.raises(ValueError):
+        level.weights(10)
+
+
+def test_level_tables_match_the_mp_level():
+    # [k] for k < r in both arithmetics, [0] exactly 0, and the figure-eight
+    # factor {1}^2 = (t^(1/2) - t^(-1/2))^2 against the root itself
     for r in (5, 57, 201):
-        double = recoupling_level(r).braces
-        extended = _mp_level(r, 40).braces
-        assert len(double) == len(extended) == 2 * r + 3
-        for k, (d, x) in enumerate(zip(double, extended)):
-            if k % r == 0:
-                assert d == 0 and x == 0, (r, k)
-            else:
-                assert abs(d - complex(x)) <= 1e-13, (r, k)
+        double = recoupling_level(r)
+        extended = _mp_level(r, 40)
+        assert len(double.qint) == len(extended.qint) == r
+        assert double.qint[0] == 0 and extended.qint[0] == 0
+        for k, (d, x) in enumerate(zip(double.qint, extended.qint)):
+            assert abs(d - float(x)) <= 1e-13 * max(1.0, abs(d)), (r, k)
+        root = cmath.exp(2j * cmath.pi / r)  # t^(1/2)
+        brace_sq = (root - 1 / root) ** 2
+        assert abs(double.brace_sq - brace_sq) <= 1e-15, r
+        assert abs(complex(extended.brace_sq) - brace_sq) <= 1e-15, r
 
 
 def test_figure_eight_escalation_set():
@@ -249,9 +290,9 @@ def test_figure_eight_escalation_set():
     # that figure_eight_log's docstring states
     flagged = []
     for r in range(3, 202, 2):
-        braces = recoupling_level(r).braces
+        level = recoupling_level(r)
         for N in range(1, (r - 1) // 2 + 1):
-            total, peak = _figure_eight_sum(N, braces, 1.0 + 0.0j)
+            total, peak = _figure_eight_sum(N, level, 1.0)
             condition = peak / abs(total) if total != 0 else math.inf
             if condition > CONDITION_LIMIT:
                 flagged.append((N, r))
@@ -310,3 +351,9 @@ def test_color_bounds():
         colored_jones(FIG8, 0, ctx)
     with pytest.raises(ValueError):
         colored_jones(DoubleTwistKnot(3, 3), 2, ctx)  # a link
+    # the figure-eight route checks its colors too, before folding them
+    for color in (-1, 20):
+        with pytest.raises(ValueError):
+            jones_log_all_colors(FIG8, 21, [color])
+        with pytest.raises(ValueError):
+            jones_value_mp(FIG8, color, 21, 30)
