@@ -59,11 +59,6 @@ from .quantum.growth import (
 
 FIG8 = DoubleTwistKnot(2, -2)
 
-#: growth-rate targets: tabulated volumes of the relevant manifolds
-FIG8_COMPLEMENT_VOLUME = 2.029883
-FILLING_5_VOLUME = 0.9814
-FILLING_7_2_VOLUME = 1.649610
-
 
 @dataclass
 class CriterionResult:
@@ -253,7 +248,7 @@ def criterion_8() -> CriterionResult:
     def body():
         samples = [tv_knot_complement(FIG8, r) for r in range(101, 502, 50)]
         est = ltv_estimate(samples)
-        target = FIG8_COMPLEMENT_VOLUME
+        target = census_mod.volume_targets(FIG8, None)["vol_complement"]
         extr_ok = abs(est.extrapolated - target) <= 0.02 * target
         raw_ok = target <= est.raw_last <= 1.10 * target
         detail = (
@@ -275,10 +270,8 @@ def criterion_9() -> CriterionResult:
     def body():
         details = []
         ok = True
-        for slope, target in (
-            (ExactRational(5), FILLING_5_VOLUME),
-            (ExactRational(-7, 2), FILLING_7_2_VOLUME),
-        ):
+        for slope in (ExactRational(5), ExactRational(-7, 2)):
+            target = census_mod.volume_targets(FIG8, slope)["vol_filled"]
             samples = surgery_sweep(FIG8, slope, range(101, 502, 50))
             est = ltv_estimate(samples)
             within = abs(est.extrapolated - target) <= 0.10 * target

@@ -106,8 +106,9 @@ def surgery_sweep(
 def q_hyperbolicity_report(
     knot: DoubleTwistKnot, slope: Optional[Slope], levels: Sequence[int]
 ) -> dict:
-    """Sweep the complement (and a filling, unless slope is None) over the
-    same levels and compare growth; the JSON report `qhyp ltv` prints.
+    """Sweep the complement (and a filling, unless slope is None) level by
+    level, so both read the level's one cached Jones vector, and compare
+    growth; the JSON report `qhyp ltv` prints.
 
     The filling comparison checks the Dehn-filling monotonicity property:
     the complement's extrapolated growth must be at least the filling's
@@ -118,7 +119,11 @@ def q_hyperbolicity_report(
         fraction_of(knot)
     except NotTwoBridgeKnotError:
         raise ValueError(f"{knot} is not a hyperbolic double twist knot")
-    samples = complement_sweep(knot, levels)
+    samples, filling = [], []
+    for r in sorted(set(levels)):
+        samples.append(tv_knot_complement(knot, r))
+        if slope is not None:
+            filling.append(tv_surgery(knot, slope, r))
     estimate = ltv_estimate(samples)
     report = {
         "knot": str(knot),
@@ -130,7 +135,6 @@ def q_hyperbolicity_report(
         "q_hyperbolic_evidence": estimate.extrapolated > 0,
     }
     if slope is not None:
-        filling = surgery_sweep(knot, slope, levels)
         filling_estimate = ltv_estimate(filling)
         margin = estimate.extrapolated - filling_estimate.extrapolated
         report["filling"] = {

@@ -5,6 +5,8 @@ color dimensions N = 1 .. (r-1)/2 of squared moduli of normalized colored
 Jones values, scaled by eta^2 = (2/r) sin^2(2 pi / r).  The outer sum cannot
 cancel, but the Jones values themselves can: colors whose sums cancel are
 escalated to mpmath by the Jones evaluators, so doubles alone do not suffice.
+The complement and the double surgery pass read one cached Jones vector per
+level, J'_N for N <= (r-1)/2 (_jones_level); the even colors fold onto it.
 
 For a closed surgery M_K(p/q) the invariant is the squared modulus of the
 surgery state sum: the slope is expanded as an integer chain
@@ -30,13 +32,14 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
+from functools import lru_cache
 
 import mpmath as mp
 import numpy as np
 
 from ..rationals import INFINITY, Slope, minus_cfe
 from ..twistknots import DoubleTwistKnot
-from .jones import _mp_level, jones_log_all_colors, jones_value_mp
+from .jones import _fold_color, _mp_level, jones_log_all_colors, jones_value_mp
 from .recoupling import recoupling_level
 
 #: cancellation ratio beyond which doubles are not trusted
@@ -58,6 +61,16 @@ def eta_squared(r: int) -> float:
     return (2.0 / r) * math.sin(2 * math.pi / r) ** 2
 
 
+@lru_cache(maxsize=1)
+def _jones_level(m: int, n: int, r: int) -> tuple:
+    """J'_N for N = 1 .. (r-1)/2 of D(m, n) at level r, odd and at least 5.
+    Keyed on the stored twists, not the knot: D(m, n) and D(n, m) hash alike
+    but their values agree only to rounding."""
+    if r < 5 or r % 2 == 0:
+        raise ValueError("the level r must be odd and at least 5")
+    return tuple(jones_log_all_colors(DoubleTwistKnot(m, n), r, range((r - 1) // 2)))
+
+
 def tv_knot_complement(knot: DoubleTwistKnot, r: int) -> TVSample:
     """TV of the knot complement at level r (odd, at least 5).
 
@@ -65,10 +78,7 @@ def tv_knot_complement(knot: DoubleTwistKnot, r: int) -> TVSample:
     space; the sum has only non-negative terms.  The sample carries the
     condition and precision of its color with the largest cancellation ratio.
     """
-    if r < 5 or r % 2 == 0:
-        raise ValueError("the level r must be odd and at least 5")
-    colors = range((r - 1) // 2)  # strand colors a = N - 1
-    logs = jones_log_all_colors(knot, r, colors)
+    logs = _jones_level(knot.m, knot.n, r)
     log_sq = np.array([2 * v.log_abs for v in logs])
     peak = float(np.max(log_sq))
     if peak == -np.inf:
@@ -102,8 +112,6 @@ def tv_surgery(knot: DoubleTwistKnot, slope: Slope, r: int) -> TVSample:
     Jones magnitudes size the mpmath digits.  The sample's precision field
     says which arithmetic produced it.
     """
-    if r < 5 or r % 2 == 0:
-        raise ValueError("the level r must be odd and at least 5")
     if slope is INFINITY:
         raise ValueError("the infinite slope gives back the three-sphere")
     chain = minus_cfe(slope)
@@ -143,13 +151,18 @@ def _state_sum(level, jones, chain: list[int]):
     return z, z_abs
 
 
+def _on_even_colors(half, r: int) -> list:
+    """J'(b) at the even colors b = 0 .. r - 3, read from the half-level vector."""
+    return [half[_fold_color(b, r)] for b in range(0, r - 2, 2)]
+
+
 def _surgery_double(
     knot: DoubleTwistKnot, slope: Slope, chain: list[int], r: int
 ) -> tuple[TVSample, float]:
     """The double-precision sample, and the log of the largest unreduced
     Jones magnitude, which sets the digits of the mpmath pass."""
+    jlogs = _on_even_colors(_jones_level(knot.m, knot.n, r), r)
     level = recoupling_level(r)
-    jlogs = jones_log_all_colors(knot, r, range(0, r - 2, 2))
     log_abs = np.array([v.log_abs for v in jlogs])
     # the Jones vector scaled by the largest |loop(b) J'(b)|
     scale = float(np.max(log_abs + level.log_int[1 : r - 1 : 2]))
@@ -200,7 +213,8 @@ def _tv_surgery_mp(
     dps = int(max(30, scale / math.log(10.0) + chain_growth + 30))
     level = _mp_level(r, dps)
     with mp.workdps(dps):
-        jones = np.array([jones_value_mp(knot, a, r, dps) for a in range(0, r - 2, 2)])
+        half = [jones_value_mp(knot, a, r, dps) for a in range((r - 1) // 2)]
+        jones = np.array(_on_even_colors(half, r))
         z, z_abs = _state_sum(level, jones, chain)
         return _assemble_sample(slope, chain, r, 0.0, z, z_abs, f"mp{dps}")
 

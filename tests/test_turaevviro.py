@@ -6,7 +6,7 @@ import pytest
 
 from qhyp.rationals import ExactRational, evaluate_minus_cfe, minus_cfe
 from qhyp.twistknots import DoubleTwistKnot, mirror
-from qhyp.quantum import jones, turaevviro
+from qhyp.quantum import growth, jones, turaevviro
 from qhyp.quantum.recoupling import recoupling_level
 from qhyp.quantum.turaevviro import (
     CONDITION_LIMIT,
@@ -143,6 +143,7 @@ def test_flagged_exceptional_filling_escalates(monkeypatch):
 
     monkeypatch.setattr(turaevviro, "jones_log_all_colors", counted)
     jones._mp_level.cache_clear()
+    turaevviro._jones_level.cache_clear()
     sample = tv_surgery(FIG8, ExactRational(1), 151)
     assert sample.condition > 1e6
     assert sample.precision == "mp47"
@@ -152,6 +153,46 @@ def test_flagged_exceptional_filling_escalates(monkeypatch):
     # one mpmath level at dps 35 serves the double pass's figure-eight
     # escalations, one at dps 47 the whole surgery sum
     assert jones._mp_level.cache_info().misses == 2
+
+
+def test_report_evaluates_each_level_once(monkeypatch):
+    # the filling reads the Jones vector the complement cached at its level
+    calls = []
+    original = turaevviro.jones_log_all_colors
+
+    def counted(*args, **kwargs):
+        calls.append(args)
+        return original(*args, **kwargs)
+
+    monkeypatch.setattr(turaevviro, "jones_log_all_colors", counted)
+    for knot in (FIG8, DoubleTwistKnot(2, -3)):
+        calls.clear()
+        turaevviro._jones_level.cache_clear()
+        growth.q_hyperbolicity_report(knot, ExactRational(5), levels=(11, 21, 31, 41))
+        assert len(calls) == 4, knot
+
+
+def test_level_cache_keeps_presentations_apart():
+    # D(2,-3) and D(-3,2) are one knot and hash alike, but their fusion
+    # values differ in the last bits
+    tv_knot_complement(DoubleTwistKnot(2, -3), 61)
+    warm = tv_knot_complement(DoubleTwistKnot(-3, 2), 61)
+    turaevviro._jones_level.cache_clear()
+    assert warm == tv_knot_complement(DoubleTwistKnot(-3, 2), 61)
+
+
+def test_surgery_colors_fold_onto_the_half_level_vector():
+    # the even colors 0 .. r-3 read the same values, condition and
+    # precision included, as a direct request for them
+    for knot, r in (
+        (FIG8, 101),
+        (FIG8, 151),
+        (DoubleTwistKnot(2, -3), 61),
+        (DoubleTwistKnot(-4, -3), 41),
+    ):
+        half = turaevviro._jones_level(knot.m, knot.n, r)
+        gathered = turaevviro._on_even_colors(half, r)
+        assert gathered == jones.jones_log_all_colors(knot, r, range(0, r - 2, 2))
 
 
 def test_escalated_condition_is_measured_in_mpmath():
