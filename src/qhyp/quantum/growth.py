@@ -25,7 +25,7 @@ import numpy as np
 
 from .. import census
 from ..rationals import Slope
-from ..twistknots import DoubleTwistKnot, fraction_of, NotTwoBridgeKnotError
+from ..twistknots import DoubleTwistKnot, fraction_of
 from .turaevviro import TVSample, tv_knot_complement, tv_surgery
 
 #: slack allowed when the complement's extrapolated growth is compared with
@@ -115,10 +115,7 @@ def q_hyperbolicity_report(
     minus MONOTONICITY_TOLERANCE.  Census volumes are attached when the knot
     is one of the tabulated twist knots.
     """
-    try:
-        fraction_of(knot)
-    except NotTwoBridgeKnotError:
-        raise ValueError(f"{knot} is not a hyperbolic double twist knot")
+    fraction_of(knot)  # raises on an unknot or a two-component link, naming it
     samples, filling = [], []
     for r in sorted(set(levels)):
         samples.append(tv_knot_complement(knot, r))

@@ -7,7 +7,8 @@ bare tetrahedral coefficient coupling the two trees (the loop, theta and
 tetrahedral prefactors folded into the weights); after a writhe correction
 the unknot-normalized value at t = q^2 emerges.  The double engine
 (_fusion_log_double, over recoupling_level(r)) and its mpmath twin
-(fusion_value_mp) sum this one decomposition.
+(fusion_value_mp) sum this one decomposition, the twin in exact integer
+dot products of mpmath mantissas, each rounded once.
 
 At t = e^(4 pi i / r), J'_{r-N} = J'_N (Kirby and Melvin, Invent. Math.
 105, 1991), so every engine folds its color onto N <= (r-1)/2 (_fold_color).
@@ -31,11 +32,12 @@ k < r: recoupling_level(r) in doubles, _mp_level(r, dps) under mpmath.
 from __future__ import annotations
 
 import math
+import operator
 from dataclasses import dataclass
 from functools import cached_property, lru_cache
 
 import mpmath as mp
-from mpmath.libmp import mpf_mul, mpf_sum, round_nearest
+from mpmath.libmp import from_man_exp, mpf_mul, round_nearest
 import numpy as np
 
 from ..twistknots import DoubleTwistKnot
@@ -67,6 +69,10 @@ class LogComplex:
 
 @lru_cache(maxsize=64)
 def _writhe_cached(m: int, n: int) -> int:
+    """The template's writhe, read first by both fusion engines: every entry
+    rejects links here, whose writhe depends on how their parts are oriented."""
+    if DoubleTwistKnot(m, n).is_link:
+        raise ValueError(f"{DoubleTwistKnot(m, n)} is a two-component link, not a knot")
     return writhe(m, n)
 
 
@@ -91,6 +97,7 @@ def _fusion_log_double(knot: DoubleTwistKnot, color: int, r: int) -> LogComplex:
     eigenvalues h, times the framing and over loop(a) = (-1)^a [a+1]: the
     decomposition fusion_value_mp sums under mpmath, at the folded color.
     """
+    w = _writhe_cached(knot.m, knot.n)
     level = recoupling_level(r)
     a = _fold_color(color, r)
     if a == 0:
@@ -109,7 +116,7 @@ def _fusion_log_double(knot: DoubleTwistKnot, color: int, r: int) -> LogComplex:
     condition = magnitude_sum / abs(total) if total != 0 else math.inf
     if total == 0:
         return LogComplex(-math.inf, 1.0 + 0j, condition)
-    frame = level.framing(a) ** (-_writhe_cached(knot.m, knot.n))
+    frame = level.framing(a) ** (-w)
     log_abs = peak + math.log(abs(total)) - float(level.log_int[a + 1])
     phase = total / abs(total) * frame * (-1) ** a  # [a+1] > 0 below the half level
     return LogComplex(log_abs, complex(phase), condition)
@@ -117,8 +124,6 @@ def _fusion_log_double(knot: DoubleTwistKnot, color: int, r: int) -> LogComplex:
 
 def _fusion_log(knot: DoubleTwistKnot, color: int, r: int) -> LogComplex:
     """Fusion evaluation with automatic escalation to extended precision."""
-    if knot.is_link:
-        raise ValueError(f"{knot} is a two-component link, not a knot")
     fast = _fusion_log_double(knot, color, r)
     if fast.condition <= CONDITION_LIMIT:
         return fast
@@ -276,6 +281,17 @@ def _mp_level(r: int, dps: int) -> _MpLevel:
     return _MpLevel(r, dps)
 
 
+def _fixed(values):
+    """Signed mantissas of raw mpmath tuples at their least exponent e, and e."""
+    e = min((x[2] for x in values), default=0)
+    return [(-x[1] if x[0] else x[1]) << (x[2] - e) for x in values], e
+
+
+def _dot(xs, ys, exp: int, prec: int):
+    """The exact sum of x * y over integer mantissas at exponent exp, rounded once."""
+    return from_man_exp(sum(map(operator.mul, xs, ys)), exp, prec, round_nearest)
+
+
 def fusion_value_mp(knot: DoubleTwistKnot, color: int, r: int, dps: int):
     """mpmath evaluation of the fusion formula at strand color a, folded
     to a <= (r-3)/2 first.
@@ -286,11 +302,15 @@ def fusion_value_mp(knot: DoubleTwistKnot, color: int, r: int, dps: int):
     loop(c) / theta(a, c) times the channel's share of the tetrahedral
     prefactor, as RecouplingLevel.weights has it in doubles.  The
     tetrahedral network is symmetric in c and d, so each unordered pair is
-    summed once, weighted by U_i V_j + U_j V_i.  Its coefficient is the sum
-    over s of G[s] F[s-a-i] F[s-a-j] F[a+i+j-s], with
-    G[s] = (-1)^s [s+1]! / [2a-s]! and F = 1/[k]!^2, formed from exact
-    products of the raw mantissas and rounded once to the working precision.
+    summed once, weighted by U_i V_j + U_j V_i.  With u = s - a - j its
+    coefficient is T_ij = sum over u <= min(i, a-j) of H_i[a+j+u] c_i[u],
+    where H_i[s] = G[s] F[s-a-i], c_i[u] = F[u] F[i-u], G[s] = (-1)^s
+    [s+1]! / [2a-s]! and F = 1/[k]!^2.  With each row's H_i and c_i
+    mantissas at one exponent, T_ij is one exact Python-integer dot product,
+    rounded once to the working precision; so are the row sums of T_ij V_j
+    and T_ij U_j, over the mantissas of U and V at one exponent per part.
     """
+    w = _writhe_cached(knot.m, knot.n)
     a = _fold_color(color, r)
     level = _mp_level(r, dps)
     with mp.workdps(dps):
@@ -306,33 +326,23 @@ def fusion_value_mp(knot: DoubleTwistKnot, color: int, r: int, dps: int):
             h = level.half_twist(a, 2 * i)
             U.append(weight * h**x)
             V.append(weight * h**y)
+        parts = [_fixed([z._mpc_[k] for z in W]) for W in (V, U) for k in (0, 1)]
         F = level.inv_fac_sq
         G = {
             s: ((-1) ** s * fac[s + 1] / fac[2 * a - s])._mpf_
             for s in range(a, 2 * a + 1)
         }
         total = mp.mpc(0)
-        n = len(U)
-        for i in range(n):
-            # G[s] F[s-a-i], exact, shared by every pair (i, j)
-            H = {s: mpf_mul(G[s], F[s - a - i]) for s in range(a + i, 2 * a + 1)}
-            row = [
-                mp.make_mpf(
-                    mpf_sum(
-                        [
-                            mpf_mul(mpf_mul(H[s], F[s - a - j]), F[a + i + j - s])
-                            for s in range(a + j, min(a + i + j, 2 * a) + 1)
-                        ],
-                        prec,
-                        round_nearest,
-                    )
-                )
-                for j in range(i, n)
-            ]
-            # sum over j > i of row[j] (U_i V_j + U_j V_i), plus the diagonal
-            total += U[i] * (row[0] * V[i] + mp.fdot(row[1:], V[i + 1 :]))
-            total += V[i] * mp.fdot(row[1:], U[i + 1 :])
-        w = _writhe_cached(knot.m, knot.n)
+        for i in range(a + 1):
+            H, e_h = _fixed([mpf_mul(G[s], F[s - a - i]) for s in range(a + i, 2 * a + 1)])
+            c, e_c = _fixed([mpf_mul(F[u], F[i - u]) for u in range(i + 1)])
+            # row[j - i] = T_ij, and its sums against V_j and U_j over j > i
+            row = [_dot(H[k:], c, e_h + e_c, prec) for k in range(a + 1 - i)]
+            rest, e = _fixed(row[1:])
+            vx, vy, ux, uy = (_dot(rest, m[i + 1 :], e + e_m, prec) for m, e_m in parts)
+            # sum over j > i of T_ij (U_i V_j + U_j V_i), plus the diagonal
+            total += U[i] * (mp.make_mpf(row[0]) * V[i] + mp.make_mpc((vx, vy)))
+            total += V[i] * mp.make_mpc((ux, uy))
         return total * level.framing(a) ** (-w) / level.loop(a)
 
 

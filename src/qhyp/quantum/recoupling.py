@@ -8,7 +8,8 @@ k <= 2a + 1 < r, is finite and nonzero.
 The fusion sum is the Kauffman-Lins recoupling sum with the loop, theta and
 tetrahedral prefactors folded into one weight per channel (weights) and a
 bare tetrahedral coefficient per channel pair (tet_grid), the decomposition
-the mpmath twin jones.fusion_value_mp sums too.  Quantized factorials
+the mpmath twin jones.fusion_value_mp sums too, there as exact integer dot
+products of mpmath mantissas, rounded once per sum.  Quantized factorials
 overflow doubles long before r reaches interesting sizes, so both are
 carried as (log-magnitude, sign) pairs, recombined through a max-factored
 exponential sum.  These real coefficients are mixed with unit-modulus twist

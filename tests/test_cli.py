@@ -59,6 +59,18 @@ def test_knot_rejects_unknot(capsys):
     assert code == 1
 
 
+@pytest.mark.parametrize(
+    "knot, rejected",
+    [("3,3", "D(3, 3) is a two-component link"), ("1,2", "D(1, 2) is the unknot")],
+)
+def test_ltv_names_what_it_rejects(capsys, knot, rejected):
+    code = main(["ltv", "--knot", knot])
+    captured = capsys.readouterr()
+    assert code == 1
+    assert captured.out == ""
+    assert captured.err.startswith(f"error: {rejected}")
+
+
 def test_surgery_check(capsys):
     code, out = run_cli(capsys, "surgery-check", "--family", "D'", "--n", "3")
     assert code == 0

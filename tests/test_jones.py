@@ -3,12 +3,14 @@ import math
 import random
 
 import mpmath as mp
+from mpmath.libmp import mpf_mul, mpf_sum, round_nearest
 import pytest
 
 from qhyp.quantum.diagram import plat_diagram, region_twists, trace_components, writhe
 from qhyp.quantum.jones import (
     CONDITION_LIMIT,
     _figure_eight_sum,
+    _fold_color,
     _fusion_log,
     _fusion_log_double,
     _mp_level,
@@ -211,6 +213,83 @@ def test_fusion_twin_matches_the_formula():
         assert kept >= 15, knot
 
 
+def _fusion_term_loop_mp(knot, color, r, dps):
+    """fusion_value_mp's decomposition with the tetrahedral coefficient
+    summed term by term: two exact mpf_mul per s-term and one mpf_sum per
+    channel pair, then mp.fdot over each row of channel pairs."""
+    a = _fold_color(color, r)
+    level = _mp_level(r, dps)
+    with mp.workdps(dps):
+        if a == 0:
+            return mp.mpc(1)
+        fac, prec = level.fac, mp.mp.prec
+        x, y = region_twists(knot.m, knot.n)
+        U, V = [], []
+        for i in range(a + 1):
+            weight = (-1) ** (a + i) * level.qint[2 * i + 1] * fac[i] ** 2
+            weight *= fac[a - i] / fac[a + i + 1]
+            h = level.half_twist(a, 2 * i)
+            U.append(weight * h**x)
+            V.append(weight * h**y)
+        F = level.inv_fac_sq
+        G = {
+            s: ((-1) ** s * fac[s + 1] / fac[2 * a - s])._mpf_
+            for s in range(a, 2 * a + 1)
+        }
+        total = mp.mpc(0)
+        n = len(U)
+        for i in range(n):
+            H = {s: mpf_mul(G[s], F[s - a - i]) for s in range(a + i, 2 * a + 1)}
+            row = [
+                mp.make_mpf(
+                    mpf_sum(
+                        [
+                            mpf_mul(mpf_mul(H[s], F[s - a - j]), F[a + i + j - s])
+                            for s in range(a + j, min(a + i + j, 2 * a) + 1)
+                        ],
+                        prec,
+                        round_nearest,
+                    )
+                )
+                for j in range(i, n)
+            ]
+            total += U[i] * (row[0] * V[i] + mp.fdot(row[1:], V[i + 1 :]))
+            total += V[i] * mp.fdot(row[1:], U[i + 1 :])
+        w = writhe(knot.m, knot.n)
+        return total * level.framing(a) ** (-w) / level.loop(a)
+
+
+def test_fusion_twin_kernel_matches_the_term_loop_bit_for_bit():
+    # the integer dot products round each sum once, as mpf_sum does; mpf_sum
+    # drops terms 2 * prec bits below its running sum, so this holds as far
+    # as it is checked: every color at two levels and two precisions ...
+    for knot in (DoubleTwistKnot(2, -3), DoubleTwistKnot(2, 2), DoubleTwistKnot(-4, -3)):
+        for r in (41, 61):
+            for dps in (35, 50):
+                for color in range(r - 1):
+                    a = fusion_value_mp(knot, color, r, dps)
+                    b = _fusion_term_loop_mp(knot, color, r, dps)
+                    assert a == b, (knot, r, dps, color)
+    # ... and the benchmark's top-color probes, cancelling at dps 39
+    for knot in (DoubleTwistKnot(2, 2), DoubleTwistKnot(2, -3)):
+        for r, color in ((151, 74), (251, 124)):
+            a = fusion_value_mp(knot, color, r, 39)
+            assert a == _fusion_term_loop_mp(knot, color, r, 39), (knot, r)
+
+
+def test_every_entry_rejects_links():
+    link, ctx = DoubleTwistKnot(3, 3), RootOfUnityContext(21)
+    for color in (0, 3):  # the trivial color returns before any sum
+        with pytest.raises(ValueError, match="two-component link"):
+            colored_jones(link, color + 1, ctx)
+        with pytest.raises(ValueError, match="two-component link"):
+            jones_log_all_colors(link, 21, [color])
+        with pytest.raises(ValueError, match="two-component link"):
+            jones_value_mp(link, color, 21, 30)
+        with pytest.raises(ValueError, match="two-component link"):
+            fusion_value_mp(link, color, 21, 30)
+
+
 def test_fusion_twin_keeps_its_digits():
     # top-half colors at dps 40 against dps 90
     for knot, r, color in (
@@ -349,8 +428,6 @@ def test_color_bounds():
         colored_jones(FIG8, 5, ctx)  # color 4 > r - 2
     with pytest.raises(ValueError):
         colored_jones(FIG8, 0, ctx)
-    with pytest.raises(ValueError):
-        colored_jones(DoubleTwistKnot(3, 3), 2, ctx)  # a link
     # the figure-eight route checks its colors too, before folding them
     for color in (-1, 20):
         with pytest.raises(ValueError):
