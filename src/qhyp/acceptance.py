@@ -31,6 +31,7 @@ from .rationals import (
 )
 from .twistknots import (
     DoubleTwistKnot,
+    TwoBridgeFraction,
     alexander,
     alexander_genus1_seifert,
     fiber_genus,
@@ -375,10 +376,8 @@ def criterion_12() -> CriterionResult:
             frac = cfe.value()
             if frac.denominator % 2 == 0 or frac.denominator == 1:
                 continue
-            from .twistknots import TwoBridgeFraction
-
             redone = fibered_cfe(TwoBridgeFraction(frac))
-            if redone is None:
+            if redone != cfe:
                 return False, f"peeling lost the expansion {entries}"
         # surgery moves invert
         for _ in range(150):

@@ -340,8 +340,9 @@ def build_parser() -> argparse.ArgumentParser:
     p.set_defaults(func=cmd_monodromy)
 
     p = sub.add_parser("census", help="embedded volume tables and bound checks")
-    p.add_argument("--check-bounds", action="store_true")
-    p.add_argument("--row", default=None, help="emit one census row as JSON")
+    shown = p.add_mutually_exclusive_group()
+    shown.add_argument("--check-bounds", action="store_true")
+    shown.add_argument("--row", default=None, help="emit one census row as JSON")
     p.add_argument("--output", default=None)
     p.set_defaults(func=cmd_census)
 

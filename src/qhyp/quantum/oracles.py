@@ -134,18 +134,14 @@ def _coproducts(N: int, r: int):
     """Matrices of Delta(E), Delta(F), Delta(K) and their opposites on the
     tensor square, for Delta(E) = E (x) K + 1 (x) E,
     Delta(F) = F (x) 1 + K^-1 (x) F, Delta(K) = K (x) K."""
-    E, F, K, q = _rep_matrices(N, r)
+    E, F, K, _ = _rep_matrices(N, r)
     eye = np.eye(N, dtype=complex)
     Kinv = np.linalg.inv(K)
-
-    def kron(a, b):
-        return np.kron(a, b)
-
-    dE = kron(E, K) + kron(eye, E)
-    dF = kron(F, eye) + kron(Kinv, F)
-    dK = kron(K, K)
-    dE_op = kron(K, E) + kron(E, eye)
-    dF_op = kron(eye, F) + kron(F, Kinv)
+    dE = np.kron(E, K) + np.kron(eye, E)
+    dF = np.kron(F, eye) + np.kron(Kinv, F)
+    dK = np.kron(K, K)
+    dE_op = np.kron(K, E) + np.kron(E, eye)
+    dF_op = np.kron(eye, F) + np.kron(F, Kinv)
     return dE, dF, dK, dE_op, dF_op
 
 
@@ -159,8 +155,8 @@ def _braiding(N: int, r: int):
     numerically at construction.
     """
     n = N - 1
-    E, F, K, q = _rep_matrices(N, r)
-    dE, dF, dK, dE_op, dF_op = _coproducts(N, r)
+    E, F, _, q = _rep_matrices(N, r)
+    dE, dF, _, dE_op, dF_op = _coproducts(N, r)
     sq = np.exp(1j * np.pi / r)
     cart = np.zeros((N * N,), dtype=complex)
     for i in range(N):
@@ -204,10 +200,10 @@ def _cup_cap(N: int, r: int):
     dE, dF, dK, _, _ = _coproducts(N, r)
     eye = np.eye(N * N, dtype=complex)
     stack_vec = np.vstack([dE, dF, dK - eye])
-    _, s, vh = np.linalg.svd(stack_vec)
+    vh = np.linalg.svd(stack_vec)[2]
     cup = vh[-1].conj()
     stack_fun = np.vstack([dE.T, dF.T, dK.T - eye])
-    _, s2, vh2 = np.linalg.svd(stack_fun)
+    vh2 = np.linalg.svd(stack_fun)[2]
     cap = vh2[-1].conj()
     return cup.reshape(N, N), cap.reshape(N, N)
 
@@ -227,7 +223,6 @@ def _plat_value(diagram: PlatDiagram, N: int, r: int) -> complex:
         # contract lanes (pos, pos+1) with the crossing's input legs
         state = np.tensordot(op, state, axes=([2, 3], [c.pos, c.pos + 1]))
         # output legs land in front; restore lane order
-        order = list(range(2, 4))
         perm = []
         src = 2
         for lane in range(4):

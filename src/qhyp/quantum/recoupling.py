@@ -8,12 +8,13 @@ k <= 2a + 1 < r, is finite and nonzero.
 The fusion sum is the Kauffman-Lins recoupling sum with the loop, theta and
 tetrahedral prefactors folded into one weight per channel (weights) and a
 bare tetrahedral coefficient per channel pair (tet_grid), the decomposition
-the mpmath twin jones.fusion_value_mp sums too, there as exact integer dot
-products of mpmath mantissas, rounded once per sum.  Quantized factorials
-overflow doubles long before r reaches interesting sizes, so both are
-carried as (log-magnitude, sign) pairs, recombined through a max-factored
-exponential sum.  These real coefficients are mixed with unit-modulus twist
-eigenvalues only at the very end.
+the mpmath twin jones.fusion_value_mp sums too.  Both sum each coefficient
+in one form, once per channel pair i <= j: here in doubles, there as exact
+integer dot products of mpmath mantissas, rounded once per sum.  Quantized
+factorials overflow doubles long before r reaches interesting sizes, so
+here weights and coefficients are carried as (log-magnitude, sign) pairs,
+recombined through a max-factored exponential sum.  These real coefficients
+are mixed with unit-modulus twist eigenvalues only at the very end.
 
 Both twist regions of the double twist template fuse pairs of strands of
 one color a, so the closed network has four a-edges and the two channel
@@ -76,39 +77,33 @@ class RecouplingLevel:
         return log, sign
 
     def tet_grid(self, a: int) -> tuple[np.ndarray, np.ndarray]:
-        """(log, sign) grid of the bare tetrahedral coefficients T_ij,
+        """(log, sign) grid of the bare tetrahedral coefficients T_ij over
+        the channel pairs of weights(a), symmetric in i and j.  For j >= i,
 
-            T_ij = sum_s G[s] F[s-a-i] F[s-a-j] F[a+i+j-s],
+            T_ij = sum over u <= min(i, a-j) of H_i[a+j+u] c_i[u],
 
-        with G[s] = (-1)^s [s+1]! / [2a-s]! and F[k] = 1/[k]!^2, over the
-        channel pairs of weights(a); s runs from a + max(i, j) to
-        min(a+i+j, 2a).
+        with H_i[s] = G[s] F[s-a-i], c_i[u] = F[u] F[i-u], G[s] = (-1)^s
+        [s+1]! / [2a-s]! and F[k] = 1/[k]!^2: the sum fusion_value_mp
+        evaluates.  G is zero past s = 2a, so u runs over 0 .. i.
         """
         n = a + 1
-        j = np.arange(n)
+        s = np.arange(a, 2 * a + 1)
+        # G[s] at index s - a, padded with zeros up to s = 3a
+        log_g, sign_g = np.full(2 * a + 1, -np.inf), np.zeros(2 * a + 1, dtype=int)
+        log_g[:n] = self.log_fac[s + 1] - self.log_fac[2 * a - s]
+        sign_g[:n] = (-1) ** (s % 2) * self.sign_fac[s + 1] * self.sign_fac[2 * a - s]
+        log_f = -2 * self.log_fac[:n]
         log, sign = np.empty((n, n)), np.empty((n, n), dtype=int)
         for i in range(n):
-            # one row of channel pairs at a time: terms indexed (s, j)
-            smin = a + np.maximum(i, j)
-            smax = np.minimum(a + i + j, 2 * a)
-            s = np.arange(a + i, int(smax.max()) + 1)[:, None]
-            ok = (s >= smin) & (s <= smax)
-            s_safe = np.where(ok, s, smin)
-            term_log = self.log_fac[s_safe + 1] - (
-                2 * self.log_fac[s_safe - a - i]
-                + 2 * self.log_fac[s_safe - a - j]
-                + 2 * self.log_fac[a + i + j - s_safe]
-                + self.log_fac[2 * a - s_safe]
-            )
-            term_sign = (
-                (-1) ** (s % 2) * self.sign_fac[s_safe + 1] * self.sign_fac[2 * a - s_safe]
-            )
-            term_log = np.where(ok, term_log, -np.inf)
-            peak = term_log.max(axis=0)
-            acc = (np.where(ok, term_sign, 0) * np.exp(term_log - peak)).sum(axis=0)
+            # terms (j - i, u) of row i, with s - a = j + u
+            u = np.arange(i + 1)
+            k = np.arange(i, n)[:, None] + u
+            term_log = log_g[k] + log_f[k - i] + (log_f[u] + log_f[i - u])
+            peak = term_log.max(axis=1)
+            acc = (sign_g[k] * np.exp(term_log - peak[:, None])).sum(axis=1)
             with np.errstate(divide="ignore"):
-                log[i] = peak + np.log(np.abs(acc))
-            sign[i] = np.sign(acc)
+                log[i, i:] = log[i:, i] = peak + np.log(np.abs(acc))
+            sign[i, i:] = sign[i:, i] = np.sign(acc)
         return log, sign
 
     # -- unit-modulus factors -----------------------------------------------

@@ -45,6 +45,25 @@ def test_tracer_installs_and_uninstalls():
     assert recoupling.RecouplingLevel.tet_grid is tet_grid
 
 
+def test_tracer_sees_tet_grid_inside_the_double_fusion_sum():
+    # the per-layer recoupling.tet_grid metrics count the grid the double
+    # fusion sum reads through level.tet_grid(a)
+    from qhyp.quantum import jones
+    from qhyp.twistknots import DoubleTwistKnot
+
+    tracer = _load("tracing").Tracer()
+    tracer.install()
+    try:
+        jones._fusion_log_double(DoubleTwistKnot(2, -3), 5, 21)
+    finally:
+        tracer.uninstall()
+    names = [span[0] for span in tracer.spans]
+    assert names.count("jones.fusion_double") == 1
+    assert names.count("recoupling.tet_grid") == 1
+    (grid,) = (span for span in tracer.spans if span[0] == "recoupling.tet_grid")
+    assert tracer.spans[grid[3]][0] == "jones.fusion_double"
+
+
 def test_tracer_sees_the_surgery_level_lookups():
     # the surgery sum reads the shared mpmath level through its own import,
     # so jones.mp_level spans and build counts must cover that name too

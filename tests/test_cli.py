@@ -143,6 +143,14 @@ def test_census_bounds(capsys):
     assert "62/62 rows pass" in out
 
 
+def test_census_row_and_bounds_are_a_usage_error(capsys):
+    # one census view per call: neither option may drop the other
+    with pytest.raises(SystemExit) as err:
+        main(["census", "--row", "K5_19", "--check-bounds"])
+    assert err.value.code == 2
+    assert capsys.readouterr().out == ""
+
+
 LEVELS = ("--r-min", "11", "--r-max", "17", "--r-step", "2")  # quick if accepted
 
 

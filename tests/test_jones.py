@@ -213,6 +213,26 @@ def test_fusion_twin_matches_the_formula():
         assert kept >= 15, knot
 
 
+def test_tet_grid_matches_the_s_form():
+    # T_ij as Kauffman-Lins write it, summed over s in mpmath, against the
+    # double grid's u-form row sums: every color and channel pair
+    for r in (21, 41, 61):
+        level, fac = recoupling_level(r), _mp_level(r, 50).fac
+        with mp.workdps(50):
+            for a in range((r - 1) // 2):
+                log, sign = level.tet_grid(a)
+                assert (log == log.T).all() and (sign == sign.T).all(), (r, a)
+                for i in range(a + 1):
+                    for j in range(a + 1):
+                        t = mp.fsum(
+                            (-1) ** s * fac[s + 1] / fac[2 * a - s]
+                            / (fac[s - a - i] * fac[s - a - j] * fac[a + i + j - s]) ** 2
+                            for s in range(a + max(i, j), min(a + i + j, 2 * a) + 1)
+                        )
+                        assert sign[i, j] == mp.sign(t), (r, a, i, j)
+                        assert abs(log[i, j] - float(mp.log(abs(t)))) <= 1e-11, (r, a, i, j)
+
+
 def _fusion_term_loop_mp(knot, color, r, dps):
     """fusion_value_mp's decomposition with the tetrahedral coefficient
     summed term by term: two exact mpf_mul per s-term and one mpf_sum per
