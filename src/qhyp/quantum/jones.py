@@ -21,12 +21,12 @@ under mpmath with digits to spare.  Values move around as (log-magnitude,
 phase) pairs so large levels neither overflow nor lose growth information.
 
 The figure-eight knot has a classical expansion whose terms are real
-products of quantized integers, one loop in either arithmetic
-(_figure_eight_sum); it doubles as an independent cross-check of the fusion
-engine and as the fast path for the figure-eight level sweeps.  Both
-evaluators escalate through one helper (_escalate), and every path reads
-its roots of unity from one level table per arithmetic, holding [k] for
-k < r: recoupling_level(r) in doubles, _mp_level(r, dps) under mpmath.
+products of quantized integers, summed in doubles (_figure_eight_sum) and
+by Horner's rule in fixed-point integers under escalation; it doubles as an
+independent cross-check of the fusion engine and as the fast path for the
+figure-eight level sweeps.  Both evaluators escalate through one helper
+(_escalate).  The double paths read [k] for k < r from recoupling_level(r),
+the fusion twin and the surgery state sum from _mp_level(r, dps).
 """
 
 from __future__ import annotations
@@ -37,7 +37,7 @@ from dataclasses import dataclass
 from functools import cached_property, lru_cache
 
 import mpmath as mp
-from mpmath.libmp import from_man_exp, mpf_mul, round_nearest
+from mpmath.libmp import dps_to_prec, from_man_exp, mpf_mul, round_nearest
 import numpy as np
 
 from ..twistknots import DoubleTwistKnot
@@ -148,17 +148,15 @@ def _escalate(condition: float, evaluate, label: str) -> LogComplex:
     return LogComplex(log_abs, phase, condition, f"{label}{dps}")
 
 
-def _figure_eight_sum(N: int, level, one):
-    """The figure-eight expansion and its largest partial product.
+def _figure_eight_sum(N: int, level):
+    """The figure-eight expansion in doubles and its largest partial product.
 
     Sums prod_{j<=k} {N-j}{N+j} over k = 0 .. N-1, with {x} = t^(x/2) -
     t^(-x/2) = {1} [x]: each factor is the real {1}^2 [N-j][N+j], read from
-    the level table's qint and brace_sq; one is 1 in the table's arithmetic.
+    the level table's qint and brace_sq.
     """
     qint = level.qint
-    total = one
-    product = one
-    peak = 1.0
+    total = product = peak = 1.0
     for j in range(1, N):
         product *= level.brace_sq * qint[N - j] * qint[N + j]
         peak = max(peak, abs(product))
@@ -177,7 +175,7 @@ def figure_eight_log(N: int, r: int) -> LogComplex:
     cancellation ratio used by the fusion engine and recomputed under mpmath.
     """
     n = _fold_color(N - 1, r) + 1
-    total, peak = _figure_eight_sum(n, recoupling_level(r), 1.0)
+    total, peak = _figure_eight_sum(n, recoupling_level(r))
     condition = peak / abs(total) if total != 0 else math.inf
     if condition <= CONDITION_LIMIT:
         phase = complex(math.copysign(1.0, total))
@@ -212,11 +210,29 @@ def jones_log_all_colors(knot: DoubleTwistKnot, r: int, colors) -> list[LogCompl
 
 
 def figure_eight_cross_sum_mp(N: int, r: int, dps: int):
-    """The real figure-eight expansion under mpmath at N, folded, over the
-    shared level table _mp_level(r, dps)."""
+    """The real figure-eight expansion at N, folded to n, as an mpf at dps.
+
+    Each factor {1}^2 [n-j][n+j] is d_n - d_j, d_k = 2 cos(4 pi k / r)
+    (Habiro's cyclotomic form), so the sum 1 + f_1 (1 + f_2 (1 + ...)),
+    f_j = d_n - d_j, is run by Horner's rule on integers D_k ~ d_k 2^P:
+    D_{k+1} = (D_1 D_k >> P) - D_{k-1} from one mpmath cosine, then
+    h <- 2^P + ((D_n - D_j) h >> P), rounded once.  The error is about
+    2^-P n max|D_k - d_k 2^P| sum|partial products| (Higham, Accuracy and
+    Stability, 5.1).  The recurrence errs by ~2^11 units at r = 501, so P,
+    64 bits past the working precision, covers the cancellation the double
+    ratio saturates on (up to 6e35 at r = 501) to about 1e-20 relative.
+    """
     n = _fold_color(N - 1, r) + 1
-    with mp.workdps(dps):
-        return _figure_eight_sum(n, _mp_level(r, dps), mp.mpf(1))[0]
+    prec = dps_to_prec(dps)
+    P = prec + 64
+    with mp.workprec(P + 16):  # spare bits, so that D_1 is rounded correctly
+        d = [2 << P, int(mp.nint(mp.ldexp(mp.cos(4 * mp.pi / r), P + 1)))]
+    for _ in range(n - 1):
+        d.append((d[1] * d[-1] >> P) - d[-2])
+    h = one = 1 << P
+    for j in range(n - 1, 0, -1):
+        h = one + ((d[n] - d[j]) * h >> P)
+    return mp.make_mpf(from_man_exp(h, -P, prec, round_nearest))
 
 
 def jones_value_mp(knot: DoubleTwistKnot, color: int, r: int, dps: int):
@@ -238,9 +254,9 @@ def jones_value_mp(knot: DoubleTwistKnot, color: int, r: int, dps: int):
 class _MpLevel:
     """Quantized integers and factorials [k], [k]! for k < r under mpmath.
 
-    The one place the package evaluates mpmath sines and exponentials: the
-    fusion twin, the figure-eight expansion and the surgery state sum all
-    read their roots of unity from the level cached by _mp_level(r, dps).
+    The fusion twin and the surgery state sum read their roots of unity
+    from the level cached by _mp_level(r, dps); the figure-eight expansion
+    needs only one cosine and reads none.
     """
 
     def __init__(self, r: int, dps: int):
@@ -248,8 +264,6 @@ class _MpLevel:
         self.dps = dps
         with mp.workdps(dps):
             unit = mp.sin(2 * mp.pi / r)
-            #: {1}^2 = -4 sin^2(2 pi / r), for the figure-eight expansion
-            self.brace_sq = -4 * unit**2
             self.qint = [mp.sin(2 * mp.pi * k / r) / unit for k in range(r)]
             self.fac = [mp.mpf(1)] * r
             for k in range(1, r):
@@ -259,8 +273,8 @@ class _MpLevel:
     def inv_fac_sq(self) -> list:
         """1/[k]!^2 for k < r as raw mpmath tuples, for the fusion twin.
 
-        Built on first use: levels that serve only the figure-eight
-        expansion or the surgery state sum never read it.
+        Built on first use: levels that serve only the surgery state sum
+        never read it.
         """
         with mp.workdps(self.dps):
             return [(1 / f**2)._mpf_ for f in self.fac]

@@ -25,7 +25,7 @@ sum |terms| / |sum|; when it exceeds CONDITION_LIMIT the level/slope pair is
 recomputed under mpmath with enough digits to cover the cancellation plus a
 safety margin.  Both passes run one state sum (_state_sum) over a level
 table: recoupling_level(r) in doubles, and under mpmath the cached
-jones._mp_level that the Jones evaluators use at those digits.
+jones._mp_level, shared with the fusion twin (the figure-eight reads none).
 """
 
 from __future__ import annotations
@@ -206,7 +206,7 @@ def _tv_surgery_mp(
 
     scale is the double pass's log of the largest unreduced Jones magnitude.
     The state sum reads the shared level table _mp_level(r, dps), which the
-    figure-eight Jones values read too.  The condition is the cancellation
+    fusion twin's Jones values read too.  The condition is the cancellation
     ratio of this sum, as in doubles.
     """
     chain_growth = (len(chain) + 1) * math.log10(max(r, 2))

@@ -150,9 +150,9 @@ def test_flagged_exceptional_filling_escalates(monkeypatch):
     assert abs(sample.logslope) < 0.3
     # the mpmath pass sizes its digits from the double pass's Jones values
     assert len(calls) == 1
-    # one mpmath level at dps 35 serves the double pass's figure-eight
-    # escalations, one at dps 47 the whole surgery sum
-    assert jones._mp_level.cache_info().misses == 2
+    # the double pass's figure-eight escalations read no mpmath level; one
+    # at dps 47 serves the whole surgery sum
+    assert jones._mp_level.cache_info().misses == 1
 
 
 def test_report_evaluates_each_level_once(monkeypatch):
